@@ -7,8 +7,8 @@ Routes (JSON in, JSON out)::
     GET  /v1/db                   list databases
     GET  /v1/db/<name>            database info + fingerprints
     POST /v1/db/<name>            create from LOGRES source
-    POST /v1/db/<name>/run        materialize a snapshot (+ optional goal)
-    POST /v1/db/<name>/check      consistency-check a snapshot
+    POST /v1/db/<name>/run        the instance (+ optional goal)
+    POST /v1/db/<name>/check      consistency-check the instance
     POST /v1/db/<name>/explain    derivation tree of one instance fact
     POST /v1/db/<name>/apply      transactional, WAL-durable module apply
     POST /v1/db/<name>/plan       the planner's chosen literal orders
@@ -73,8 +73,9 @@ from repro.server.registry import DatabaseRegistry
 from repro.testing.faults import FAULTS
 from repro.values.oids import OidGenerator
 
-#: write operations a draining server refuses; reads already in flight
-#: finish, new work of any kind gets 503 + LG808
+#: the per-database operations routed as ``POST /v1/db/<name>/<op>``;
+#: while draining, requests already in flight finish and new work of
+#: any kind gets 503 + LG808
 _OPS = ("run", "check", "explain", "apply", "plan")
 
 
@@ -104,8 +105,10 @@ class ReproServer:
 
     def __init__(self, config: ServerConfig, bus: EventBus | None = None):
         self.config = config
+        self.metrics = StreamingMetrics()
         self.registry = DatabaseRegistry(
-            config.data_dir, snapshot_interval=config.snapshot_interval
+            config.data_dir, snapshot_interval=config.snapshot_interval,
+            metrics=self.metrics,
         )
         self.admission = AdmissionController(
             max_concurrent=config.max_concurrent,
@@ -114,7 +117,6 @@ class ReproServer:
             retry_after=config.retry_after,
         )
         self.bus = bus or EventBus()
-        self.metrics = StreamingMetrics()
         self.draining = threading.Event()
         self.client_disconnects = 0
         self._inflight = 0
@@ -457,33 +459,14 @@ class _Handler(BaseHTTPRequestHandler):
                 payload["answers"] = _render_answers(result.answers)
             return 200, payload
 
-        # the read family evaluates an isolated snapshot outside any lock
-        state = managed.read_snapshot()
-        if op == "run":
-            extra = ()
-            if isinstance(body.get("rules"), str):
-                extra = tuple(parse_source(body["rules"]).rules)
-            instance = materialize(
-                state, semantics, config, OidGenerator(), extra
-            )
-            payload = {
-                "facts": instance.count(),
-                "predicates": {
-                    pred: instance.count(pred)
-                    for pred in instance.predicates()
-                    if not pred.startswith("__")
-                },
-            }
-            goal_text = body.get("goal")
-            if isinstance(goal_text, str):
-                payload["answers"] = _render_answers(
-                    _answer(goal_text, instance, state)
-                )
-            return 200, payload
-        if op == "check":
-            instance = materialize(state, semantics, config, OidGenerator())
-            checker = ConsistencyChecker(state.schema, state.denials())
-            violations = checker.check(instance)
+        rules_text = body.get("rules") if op == "run" else None
+        if op in ("run", "check") and not isinstance(rules_text, str):
+            # the persistent instance: one evaluation per applied_seq
+            held = managed.materialized(semantics, guard)
+            if op == "run":
+                return 200, _run_payload(held.instance, held.schema, body)
+            checker = ConsistencyChecker(held.schema, held.denials)
+            violations = checker.check(held.instance)
             if violations:
                 return 409, {
                     "consistent": False,
@@ -491,6 +474,16 @@ class _Handler(BaseHTTPRequestHandler):
                 }
             return 200, {"consistent": True,
                          "violations_checked": True}
+
+        # the rest of the read family evaluates an isolated snapshot
+        # outside any lock
+        state = managed.read_snapshot()
+        if op == "run":
+            extra = tuple(parse_source(rules_text).rules)
+            instance = materialize(
+                state, semantics, config, OidGenerator(), extra
+            )
+            return 200, _run_payload(instance, state.schema, body)
         if op == "explain":
             from repro.cli import _parse_fact
             from repro.engine.trace import Tracer
@@ -558,8 +551,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", str(max(1, int(retry_after))))
         if run_id is not None:
             self.send_header("X-Repro-Run-Id", run_id)
-        self.end_headers()
-        self.wfile.write(data)
+        if self.request_version == "HTTP/0.9":  # no headers at all
+            self.wfile.write(data)
+            return status
+        # end_headers() would send the headers on their own: a second,
+        # small send on a keep-alive connection then waits (Nagle) for
+        # the client's delayed ACK, ~40 ms.  Blank line and body join
+        # the header buffer so the response leaves in one send.
+        self._headers_buffer.extend((b"\r\n", data))
+        self.flush_headers()
         return status
 
 
@@ -569,14 +569,33 @@ _BODY_TOO_LARGE = object()
 _BODY_BAD_JSON = object()
 
 
-def _answer(goal_text: str, instance, state):
+def _run_payload(instance, schema, body: dict) -> dict:
+    """The ``run`` response: instance counts, plus the answers to the
+    body's ``goal`` when it has one."""
+    payload = {
+        "facts": instance.count(),
+        "predicates": {
+            pred: instance.count(pred)
+            for pred in instance.predicates()
+            if not pred.startswith("__")
+        },
+    }
+    goal_text = body.get("goal")
+    if isinstance(goal_text, str):
+        payload["answers"] = _render_answers(
+            _answer(goal_text, instance, schema)
+        )
+    return payload
+
+
+def _answer(goal_text: str, instance, schema):
     text = goal_text.strip()
     if not text.startswith("goal"):
         text = "goal\n" + text
     goal = parse_source(text).goal
     if goal is None:
         raise ValueError(f"no goal found in {goal_text!r}")
-    return answer_goal(goal, instance, state.schema)
+    return answer_goal(goal, instance, schema)
 
 
 def _render_answers(answers) -> list[dict]:

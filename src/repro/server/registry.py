@@ -5,9 +5,15 @@ with everything a server needs to share it safely:
 
 * a **reader/writer lock** — writers are serialized; readers take the
   lock only long enough to :meth:`~repro.storage.factset.FactSet.copy`
-  a snapshot (the copy carries the hash indexes, PR 1) and evaluate
-  entirely outside it, so a long-running read never blocks a write and
-  a write never blocks reads;
+  a snapshot (the copy carries the hash indexes) and evaluate entirely
+  outside it, so a long-running read never blocks a write and a write
+  never blocks reads;
+* the **materialized instance** per semantics — the instance is a
+  function of the state (E, R, S), which changes only when
+  ``applied_seq`` advances, so :meth:`ManagedDatabase.materialized`
+  evaluates once per ``(applied_seq, semantics)`` and later reads at
+  the same seq answer from the held instance (no invalidation code: a
+  committed write or replay moves the seq past every entry);
 * the **write-ahead log** (:mod:`repro.server.wal`) appended-and-fsynced
   before any write is acknowledged;
 * **snapshot + recovery**: the state is periodically rewritten through
@@ -28,17 +34,23 @@ import json
 import os
 import re
 import threading
+from dataclasses import dataclass
 
 from repro.core.database import Database
 from repro.engine import EvalConfig, Semantics
+from repro.engine.guards import ResourceGuard
 from repro.errors import LogresError, StorageError
+from repro.language.ast import Rule
 from repro.modules.apply import ApplicationResult, apply_module
 from repro.modules.module import Mode, Module
-from repro.modules.state import DatabaseState
+from repro.modules.state import DatabaseState, materialize
 from repro.modules.txn import state_fingerprints
 from repro.server.wal import WriteAheadLog, make_record
+from repro.storage.factset import FactSet
 from repro.storage.persist import atomic_write_text
 from repro.testing.faults import FAULTS
+from repro.types.schema import Schema
+from repro.values.oids import OidGenerator
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_-]{0,63}$")
 
@@ -114,12 +126,47 @@ class RWLock:
         return self._Scope(self.acquire_write, self.release_write)
 
 
+@dataclass(frozen=True)
+class Materialized:
+    """The instance of the state at ``seq`` under one semantics, with
+    the schema and denials a read needs beside it.
+
+    ``limits`` are the guard's ``(max_facts, max_inventions,
+    max_fact_size)`` the evaluation succeeded under.  Evaluation is
+    deterministic, so any guard at least as loose in every dimension
+    would have succeeded too; a tighter one must re-evaluate to
+    reproduce its breach exactly.  The instance is shared between
+    concurrent readers and must never be mutated."""
+
+    seq: int
+    limits: tuple[int | None, ...]
+    schema: Schema
+    denials: tuple[Rule, ...]
+    instance: FactSet
+
+    def covers(self, limits: tuple[int | None, ...]) -> bool:
+        """True when every requested limit is at least as loose as the
+        one this entry was filled under (``None`` is unbounded)."""
+        return all(
+            asked is None or (held is not None and asked >= held)
+            for asked, held in zip(limits, self.limits)
+        )
+
+
+def _guard_limits(guard: ResourceGuard | None) -> tuple[int | None, ...]:
+    if guard is None:
+        return (None, None, None)
+    return (guard.max_facts, guard.max_inventions, guard.max_fact_size)
+
+
 class ManagedDatabase:
-    """One named database: Database + RWLock + WAL + snapshots."""
+    """One named database: Database + RWLock + WAL + snapshots, and the
+    materialized instance per semantics at the current ``applied_seq``."""
 
     def __init__(self, name: str, directory: str,
                  snapshot_interval: int = 16,
-                 semantics: Semantics = Semantics.INFLATIONARY):
+                 semantics: Semantics = Semantics.INFLATIONARY,
+                 metrics=None):
         self.name = validate_name(name)
         self.directory = os.fspath(directory)
         self.snapshot_interval = max(1, snapshot_interval)
@@ -136,6 +183,13 @@ class ManagedDatabase:
         #: write is still durable (it is in the WAL); this is the
         #: graceful-degradation counter the server surfaces as a metric
         self.snapshot_failures = 0
+        #: at most one :class:`Materialized` per semantics; an entry
+        #: whose ``seq`` is behind ``applied_seq`` is simply never hit
+        self._materialized: dict[Semantics, Materialized] = {}
+        self._materialized_lock = threading.Lock()
+        #: optional :class:`~repro.observability.MetricsRegistry` that
+        #: counts :meth:`materialized` hits and misses per database
+        self.metrics = metrics
 
     # ------------------------------------------------------------------
     @property
@@ -204,10 +258,55 @@ class ManagedDatabase:
         and rule tuple are immutable (shared), the EDB is copied with
         its indexes.  Taken under the read lock; evaluated outside it."""
         with self.lock.read():
-            state = self.db.state
-            return DatabaseState(
-                state.schema, state.edb.copy(), tuple(state.rules)
-            )
+            return self._copy_state()
+
+    def _copy_state(self) -> DatabaseState:
+        state = self.db.state
+        return DatabaseState(
+            state.schema, state.edb.copy(), tuple(state.rules)
+        )
+
+    def materialized(self, semantics: Semantics,
+                     guard: ResourceGuard | None = None) -> Materialized:
+        """The instance at the current ``applied_seq`` under
+        ``semantics``.
+
+        A hit needs the entry at the current seq, filled under limits
+        no tighter than ``guard``'s (:meth:`Materialized.covers`); it
+        costs one guard check (cancellation, timeout) and no
+        evaluation.  A miss evaluates a :meth:`read_snapshot`-style
+        copy outside the lock with a fresh oid generator, exactly like
+        an uncached read, and keeps the result only if no write
+        committed meanwhile; a budget breach raises and keeps
+        nothing."""
+        limits = _guard_limits(guard)
+        with self.lock.read():
+            seq = self.applied_seq
+            held = self._materialized.get(semantics)
+            if held is None or held.seq != seq or not held.covers(limits):
+                state = self._copy_state()
+                held = None
+        if self.metrics is not None:
+            with self._materialized_lock:  # inc is read-modify-write
+                self.metrics.inc(
+                    "server_read_cache_misses" if held is None
+                    else "server_read_cache_hits",
+                    (("db", self.name),),
+                )
+        if held is not None:
+            if guard is not None:
+                guard.check_iteration()
+            return held
+        instance = materialize(
+            state, semantics, EvalConfig(guard=guard), OidGenerator()
+        )
+        fresh = Materialized(
+            seq, limits, state.schema, state.denials(), instance
+        )
+        with self._materialized_lock:
+            if self.applied_seq == seq:
+                self._materialized[semantics] = fresh
+        return fresh
 
     def fingerprints(self) -> dict[str, str]:
         with self.lock.read():
@@ -357,10 +456,12 @@ class DatabaseRegistry:
     """Every named database under one data directory."""
 
     def __init__(self, data_dir: str, snapshot_interval: int = 16,
-                 semantics: Semantics = Semantics.INFLATIONARY):
+                 semantics: Semantics = Semantics.INFLATIONARY,
+                 metrics=None):
         self.data_dir = os.fspath(data_dir)
         self.snapshot_interval = snapshot_interval
         self.semantics = semantics
+        self.metrics = metrics
         self._lock = threading.Lock()
         self._databases: dict[str, ManagedDatabase] = {}
 
@@ -386,7 +487,7 @@ class DatabaseRegistry:
             managed = ManagedDatabase(
                 name, self.data_dir,
                 snapshot_interval=self.snapshot_interval,
-                semantics=self.semantics,
+                semantics=self.semantics, metrics=self.metrics,
             )
             if not managed.exists:
                 raise KeyError(name)
@@ -411,7 +512,7 @@ class DatabaseRegistry:
             managed = ManagedDatabase(
                 name, self.data_dir,
                 snapshot_interval=self.snapshot_interval,
-                semantics=self.semantics,
+                semantics=self.semantics, metrics=self.metrics,
             )
             self._databases[name] = managed
         try:

@@ -285,7 +285,10 @@ class FactSet:
         """Facts of ``pred`` whose ``label`` component equals ``value``.
 
         Served from a lazily built hash index; ``label`` may be the
-        pseudo-label ``self`` to look up class facts by oid.
+        pseudo-label ``self`` to look up class facts by oid.  A set no
+        longer mutated may be probed from several threads at once: an
+        index is built privately and published with ``setdefault``, so
+        racing builders all end up reading the one published copy.
         """
         pred = pred.lower()
         stats = self.index_stats
@@ -302,15 +305,13 @@ class FactSet:
                 key = fact.oid if label == _SELF else fact.value.get(label)
                 if key is not None:
                     by_label.setdefault(key, []).append(fact)
-            index[label] = by_label
+            by_label = index.setdefault(label, by_label)
         elif stats is not None:
             stats.hits += 1
         return by_label.get(value, [])
 
-    def _build_index(self, pred: str):
-        index: dict[str, dict[Value, list[Fact]]] = {}
-        self._indexes[pred] = index
-        return index
+    def _build_index(self, pred: str) -> dict[str, dict[Value, list[Fact]]]:
+        return self._indexes.setdefault(pred, {})
 
     def distinct_count(self, pred: str, label: str) -> int:
         """Distinct values stored at an indexed position — the planner's

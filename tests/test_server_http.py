@@ -311,6 +311,14 @@ class TestTelemetry:
         assert 'repro_server_db_applied_seq{db="demo"} 1' in text
         assert "repro_server_request_seconds_count" in text
         assert "repro_server_admission_active 0" in text
+        assert 'repro_server_read_cache_misses_total{db="demo"} 1' in text
+        # a second read at the same applied_seq answers from the held
+        # instance: the hit counter moves, the miss counter does not
+        post_json(base, "/v1/db/demo/run", {})
+        with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:
+            text = resp.read().decode()
+        assert 'repro_server_read_cache_hits_total{db="demo"} 1' in text
+        assert 'repro_server_read_cache_misses_total{db="demo"} 1' in text
 
     def test_requests_publish_bus_events(self, tmp_path):
         bus = EventBus()
