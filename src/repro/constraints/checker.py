@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.engine.activedomain import ActiveDomains
 from repro.engine.step import RuleRuntime, evaluate_body
-from repro.engine.valuation import MatchContext
+from repro.engine.valuation import MatchContext, match_fact
 from repro.errors import ConsistencyError
 from repro.language.analysis import (
     check_safety,
@@ -31,7 +31,7 @@ from repro.language.analysis import (
     resolve_rule,
     schema_with_functions,
 )
-from repro.language.ast import Rule
+from repro.language.ast import Literal, Rule
 from repro.storage.factset import Fact, FactSet
 from repro.types.descriptors import (
     MultisetType,
@@ -113,6 +113,32 @@ class ConsistencyChecker:
                     )
                 for violation in out:
                     obs.constraint_violation(violation)
+
+    def extension_consistent(self, base: FactSet, facts: FactSet) -> bool:
+        """Whether ``facts`` is consistent, given a consistent ``base``
+        it contains (``base ⊆ facts``, same schema and denials) and a
+        schema without isa edges, as every program
+        :meth:`Engine.extendable` accepts has.
+
+        Nothing was removed, so every violation of ``facts`` that
+        ``base`` lacks involves a new fact: the structure, hierarchy
+        and reference checks run on ``facts − base`` only, and each
+        denial is evaluated seeded on its positive body literals whose
+        predicate gained facts.  Only the verdict is computed;
+        :meth:`check` words the violations."""
+        added = facts.minus(base)
+        if not added.count():
+            return True
+        self._current_facts = facts
+        try:
+            return not (
+                self._check_structure(added)
+                or self._hierarchy_broken_by(added, facts)
+                or self._check_references(added)
+                or self._denials_seeded(facts, added)
+            )
+        finally:
+            self._current_facts = None
 
     def require_consistent(self, facts: FactSet) -> None:
         violations = self.check(facts)
@@ -199,6 +225,23 @@ class ConsistencyChecker:
                         f" and {root!r}",
                     ))
         return out
+
+    def _hierarchy_broken_by(self, added: FactSet, facts: FactSet) -> bool:
+        """Whether an oid of ``added`` is shared across hierarchies in
+        ``facts``.  Superclass membership needs no check without isa
+        edges (an extendable program has none: each edge generates a
+        class-head propagation rule)."""
+        schema = self.schema
+        for pred in schema.class_names:
+            root = schema.hierarchy_root(pred)
+            for oid in added.oids_of(pred):
+                if any(
+                    schema.hierarchy_root(other) != root
+                    and facts.has_oid(other, oid)
+                    for other in schema.class_names
+                ):
+                    return True
+        return False
 
     def _check_references(self, facts: FactSet) -> list[Violation]:
         out = []
@@ -297,6 +340,43 @@ class ConsistencyChecker:
                     f"denial {resolved!r} is violated, e.g. by {shown}",
                 ))
         return out
+
+    def _denials_seeded(self, facts: FactSet, added: FactSet) -> bool:
+        """Whether some denial has a witness in ``facts`` that binds a
+        positive body literal to a fact of ``added`` (with ``facts ⊇
+        added`` extending a consistent set, no other witness is new)."""
+        ctx = MatchContext(facts, self._extended)
+        domains = ActiveDomains(facts, self._extended)
+        for denial in self.denials:
+            resolved = resolve_rule(denial, self._extended)
+            try:
+                runtime = RuleRuntime(
+                    -1, resolved, check_safety(resolved, self._extended),
+                    check_types(resolved, self._extended),
+                )
+            except Exception:  # ill-typed: the full check reports it
+                return True
+            if runtime.safety.active_domain_vars:
+                # new values widen the active domain a negated literal
+                # ranges over, with no new fact to seed on: evaluate
+                # this denial whole
+                if next(evaluate_body(runtime, ctx, domains),
+                        None) is not None:
+                    return True
+                continue
+            body = resolved.body
+            for pos, literal in enumerate(body):
+                if not isinstance(literal, Literal) or literal.negated:
+                    continue
+                rest = body[:pos] + body[pos + 1:]
+                for fact in added.facts_of(literal.pred):
+                    seed = match_fact(literal.args, fact, {}, ctx)
+                    if seed is not None and next(evaluate_body(
+                        runtime, ctx, domains, seed=seed, body=rest
+                    ), None) is not None:
+                        return True
+        return False
+
 
 def check_consistency(
     facts: FactSet, schema: Schema, denials: tuple[Rule, ...] = ()

@@ -31,6 +31,7 @@ import enum
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import (
     EvalBudgetExceeded,
@@ -69,7 +70,7 @@ from repro.language.ast import (
     Program,
     Rule,
 )
-from repro.storage.factset import FactSet
+from repro.storage.factset import Fact, FactSet
 from repro.types.schema import Schema
 from repro.values.oids import OidGenerator
 
@@ -190,6 +191,50 @@ class Engine:
         :class:`~repro.observability.Instrumentation` — forces the
         general (non-semi-naive) path so every rule firing is observed.
         """
+        return self._evaluate(
+            semantics, tracer,
+            lambda obs: self._run(edb, semantics, obs),
+        )
+
+    def extendable(self, semantics: Semantics) -> bool:
+        """Whether :meth:`extend` computes this program's instance.
+
+        It does for the positive, invention-free, class-head-free
+        fragment under inflationary or stratified semantics (the two
+        coincide there): the instance is the least fixpoint, which is
+        monotone in the EDB, so ``I(E1) = I(E0)`` plus what the facts
+        ``E1 − E0`` derive."""
+        return (
+            semantics in (Semantics.INFLATIONARY, Semantics.STRATIFIED)
+            and not self.obs.enabled
+            and self.config.seminaive
+            and self._seminaive_applicable(self._head_rules())
+        )
+
+    def extend(
+        self,
+        base: FactSet,
+        inserted: Iterable[Fact],
+        edb: FactSet,
+        semantics: Semantics = Semantics.INFLATIONARY,
+    ) -> FactSet:
+        """The instance of ``edb`` continued from ``base``.
+
+        ``base`` is this program's instance over an EDB ``E0`` and
+        ``edb`` is ``E0`` plus the ``inserted`` facts; only legal where
+        :meth:`extendable` holds.  The semi-naive delta rounds run from
+        a copy of ``base`` (never mutated), seeded with the inserted
+        facts it lacks, under the same guard checks, fact budgets and
+        plans as :meth:`run`; the oid generator is reserved above
+        ``edb`` exactly as a full run reserves it."""
+        return self._evaluate(
+            semantics, None,
+            lambda obs: self._extend(base, inserted, edb, semantics),
+        )
+
+    def _evaluate(self, semantics: Semantics, tracer, body) -> FactSet:
+        """The run boundary shared by :meth:`run` and :meth:`extend`:
+        fresh stats and plans, guard arming, breach stats, timing."""
         self.stats = EvalStats()
         self.plans = []
         obs = self.obs
@@ -206,7 +251,7 @@ class Engine:
         started = time.perf_counter()
         facts_out = 0
         try:
-            result = self._run(edb, semantics, obs)
+            result = body(obs)
             facts_out = result.count()
             return result
         except EvalBudgetExceeded as exc:
@@ -231,7 +276,7 @@ class Engine:
     ) -> FactSet:
         self._reserve(edb)
         inventions = InventionRegistry(self.oidgen)
-        rules = [r for r in self.runtimes if r.rule.head is not None]
+        rules = self._head_rules()
         if semantics is Semantics.INFLATIONARY:
             facts = edb.copy()
             if obs.enabled:
@@ -266,6 +311,24 @@ class Engine:
         if semantics is Semantics.NONINFLATIONARY:
             return self._run_noninflationary(edb, rules, inventions, obs)
         raise EvaluationError(f"unknown semantics {semantics!r}")
+
+    def _extend(
+        self,
+        base: FactSet,
+        inserted: Iterable[Fact],
+        edb: FactSet,
+        semantics: Semantics,
+    ) -> FactSet:
+        self._reserve(edb)
+        rules = self._head_rules()
+        facts = base.copy()
+        delta = FactSet.from_facts(f for f in inserted if facts.add(f))
+        self._attach_plans(rules, facts, NULL_INSTRUMENTATION, semantics)
+        self.stats.used_seminaive = True
+        return self._run_seminaive(facts, rules, delta)
+
+    def _head_rules(self) -> list[RuleRuntime]:
+        return [r for r in self.runtimes if r.rule.head is not None]
 
     def _attach_plans(
         self,
@@ -353,7 +416,7 @@ class Engine:
         on the live statistics of their boundary)."""
         from repro.engine.planner import build_plan
 
-        rules = [r for r in self.runtimes if r.rule.head is not None]
+        rules = self._head_rules()
         if semantics is Semantics.STRATIFIED:
             strata = stratify_runtimes(rules, self.analysis)
             return [
@@ -573,14 +636,26 @@ class Engine:
         return True
 
     def _run_seminaive(
-        self, facts: FactSet, rules: list[RuleRuntime]
+        self,
+        facts: FactSet,
+        rules: list[RuleRuntime],
+        delta: FactSet | None = None,
     ) -> FactSet:
+        """Semi-naive rounds to the fixpoint.  ``delta=None`` starts
+        from the EDB ``facts`` with the initial round; a given
+        ``delta`` continues a fixpoint that ``facts`` already holds
+        (plus the ``delta`` facts), straight from the delta rounds."""
         cfg = self.config
         guard = cfg.guard
         incremental = cfg.incremental
         inventions = InventionRegistry(self.oidgen)  # unused but uniform
         obs = NULL_INSTRUMENTATION  # semi-naive only runs uninstrumented
-        if (
+        if delta is not None:
+            ctx = MatchContext(facts, self.schema, cfg.use_indexes)
+            live = facts.count()
+            domains = ActiveDomains(facts, self.schema)
+            self.stats.facts_derived = live
+        elif (
             cfg.plan and cfg.use_indexes and rules
             and all(r.compiled is not None and r.hot for r in rules)
         ):
@@ -588,28 +663,30 @@ class Engine:
             # round included, runs on the compiled driver
             return self._run_seminaive_compiled(facts, rules, None,
                                                 facts.count())
-        # initial round: fact rules and rules over the EDB
-        self._guard_boundary(guard, facts, facts.count(), 0)
-        with self._iteration(obs):
-            ctx = MatchContext(facts, self.schema, cfg.use_indexes)
-            first = compute_deltas(rules, ctx, inventions, guard=guard)
-            if incremental:
-                # one working fact set, mutated in place; the net change
-                # is exactly the facts the EDB did not already contain,
-                # so round 2 never re-joins the whole EDB.
-                net = apply_deltas_inplace(facts, first)
-                delta = FactSet.from_facts(net.added)
-            else:
-                edb = facts
-                facts = apply_deltas(facts, first)
-                # seed with the *net-new* facts only; ``first.plus`` may
-                # repeat EDB facts, which round 2 would pointlessly
-                # re-join.
-                delta = first.plus.minus(edb)
+        else:
+            # initial round: fact rules and rules over the EDB
+            self._guard_boundary(guard, facts, facts.count(), 0)
+            with self._iteration(obs):
                 ctx = MatchContext(facts, self.schema, cfg.use_indexes)
-            live = facts.count()
-            domains = ActiveDomains(facts, self.schema)
-            self.stats.facts_derived = live
+                first = compute_deltas(rules, ctx, inventions, guard=guard)
+                if incremental:
+                    # one working fact set, mutated in place; the net
+                    # change is exactly the facts the EDB did not
+                    # already contain, so round 2 never re-joins the
+                    # whole EDB.
+                    net = apply_deltas_inplace(facts, first)
+                    delta = FactSet.from_facts(net.added)
+                else:
+                    edb = facts
+                    facts = apply_deltas(facts, first)
+                    # seed with the *net-new* facts only; ``first.plus``
+                    # may repeat EDB facts, which round 2 would
+                    # pointlessly re-join.
+                    delta = first.plus.minus(edb)
+                    ctx = MatchContext(facts, self.schema, cfg.use_indexes)
+                live = facts.count()
+                domains = ActiveDomains(facts, self.schema)
+                self.stats.facts_derived = live
         compilable = bool(
             cfg.plan and cfg.use_indexes and rules
             and all(r.compiled is not None for r in rules)

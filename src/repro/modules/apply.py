@@ -20,6 +20,12 @@ Mode semantics (quoting Section 4.1):
 * **RADV** — like RIDV, plus ``R1 = R0 ∪ R_M``, ``S1 = S0 ∪ S_M``.
 * **RDDV** — ``E1 = E0 − E_M`` where ``E_M`` is the instance of
   ``(∅, R_M)``; ``R1 = R0 − R_M``; ``S1 = S0 − S_M``.
+
+Given the checked instance ``I0`` of the input state as ``base``, an
+insert-only RIDV write into a monotone program does not re-derive I1:
+it continues ``I0`` from the inserted facts ``E1 − E0`` and checks the
+constraints on ``I1 − I0`` (see :func:`_finalize`).  Outcomes are the
+same as without ``base``; ``repro serve`` passes the instance it holds.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from repro.language.ast import Program, Rule
 from repro.modules.module import Mode, Module
 from repro.modules.state import DatabaseState, materialize
 from repro.modules.txn import Savepoint
-from repro.storage.factset import FactSet
+from repro.storage.factset import Fact, FactSet
 from repro.testing.faults import FAULTS
 from repro.types.schema import Schema
 from repro.values.complex import Value
@@ -53,6 +59,12 @@ class ApplicationResult:
     answers: list[dict[str, Value]] | None  # goal answers (DI modes only)
     mode: Mode
     violations_checked: int = 0
+    #: whether the evaluated program invents oids (from its analysis);
+    #: if not, ``instance`` equals a materialization with any generator
+    invents_oids: bool = True
+    #: whether ``instance`` was extended from a base instance rather
+    #: than materialized from scratch
+    extended: bool = False
 
     def __repr__(self) -> str:
         goal = (
@@ -74,6 +86,8 @@ def apply_module(
     oidgen: OidGenerator | None = None,
     check_initial: bool = True,
     instrumentation=None,
+    base: FactSet | None = None,
+    fingerprints: dict[str, str] | None = None,
 ) -> ApplicationResult:
     """Apply ``module`` to ``state`` under ``mode``.
 
@@ -83,6 +97,14 @@ def apply_module(
     An enabled :class:`repro.observability.Instrumentation` records the
     whole application into the ``module_apply_time{mode=...}`` histogram
     and receives the final consistency check's violations as events.
+
+    ``base`` is an optional instance of ``state`` under ``semantics``
+    that passed the consistency check.  An insert-only RIDV write
+    extends it instead of materializing ``I1`` from scratch, and checks
+    constraints on the facts it gained (see :func:`_finalize`); every
+    outcome, error message included, is the one without ``base``.
+    ``fingerprints``, if given, must be ``state_fingerprints(state)``:
+    the savepoint takes them instead of hashing the state again.
 
     The whole application runs inside a :class:`repro.modules.txn.Savepoint`
     over the *input* state: any failure — a mode check, a constraint
@@ -96,7 +118,7 @@ def apply_module(
     if obs is not None and not obs.enabled:
         obs = None
     started = time.perf_counter() if obs is not None else 0.0
-    savepoint = Savepoint(state, oidgen)
+    savepoint = Savepoint(state, oidgen, fingerprints)
     try:
         mode_diags = check_module_application(state, module, mode)
         errors = [d for d in mode_diags if d.severity is Severity.ERROR]
@@ -128,7 +150,8 @@ def apply_module(
                                      oidgen, obs)
             elif mode in (Mode.RIDV, Mode.RADV):
                 result = _apply_datavariant(
-                    state, module, mode, semantics, config, oidgen, obs
+                    state, module, mode, semantics, config, oidgen, obs,
+                    base,
                 )
             else:
                 result = _apply_rddv(state, module, semantics, config,
@@ -210,10 +233,42 @@ def _finalize(
     oidgen: OidGenerator | None,
     obs=None,
     goal_rules: tuple[Rule, ...] = (),
+    base: FactSet | None = None,
+    prior_edb: FactSet | None = None,
 ) -> ApplicationResult:
-    """Materialize I1, verify consistency, answer the goal if requested."""
-    instance = materialize(new_state, semantics, config, oidgen,
-                           extra_rules=goal_rules)
+    """Materialize I1, verify consistency, answer the goal if requested.
+
+    With ``base``, the checked instance of the prior state whose EDB is
+    ``prior_edb``, I1 is *extended* from it when the write only inserts
+    facts into a monotone program: the mode is RIDV, the module
+    declares no types, isa, functions or denials, ``E1 ⊇ E0``, and the
+    engine can continue the fixpoint (:meth:`Engine.extendable`).  The
+    semi-naive rounds then start from ``base`` seeded with ``E1 − E0``,
+    and the constraints are checked on ``I1 − I0`` only
+    (:meth:`ConsistencyChecker.extension_consistent`).  A violation,
+    or any evaluation failure except a timeout or cancellation, re-runs
+    the full path, so rejections read exactly as they do without
+    ``base``."""
+    engine = Engine(new_state.schema,
+                    new_state.evaluation_program(goal_rules),
+                    config=config, oidgen=oidgen)
+    inserted = None
+    if base is not None and _insert_only(module, mode) \
+            and engine.extendable(semantics):
+        inserted = _inserted(prior_edb, new_state.edb)
+    instance = None
+    if inserted is not None:
+        try:
+            instance = engine.extend(base, inserted, new_state.edb,
+                                     semantics)
+        except LogresError as exc:
+            # deterministic failures re-run below so that the full path
+            # words them; a timeout or cancellation would only recur
+            if getattr(exc, "budget", "") in ("timeout", "cancelled"):
+                raise
+    extended = instance is not None
+    if not extended:
+        instance = engine.run(new_state.edb, semantics)
     if FAULTS.enabled:
         FAULTS.fire(
             "module.finalize",
@@ -223,7 +278,13 @@ def _finalize(
         r for r in module.rules if r.is_denial
     )
     checker = ConsistencyChecker(new_state.schema, denials)
-    violations = checker.check(instance, instrumentation=obs)
+    if extended and not checker.extension_consistent(base, instance):
+        # the violation is worded from the instance the full path
+        # builds (its witnesses follow that instance's fact order)
+        extended = False
+        instance = engine.run(new_state.edb, semantics)
+    violations = [] if extended else checker.check(instance,
+                                                   instrumentation=obs)
     _reject_if_inconsistent(violations, new_state, module, mode, "resulting")
     answers = None
     if module.goal is not None and mode.allows_goal:
@@ -233,7 +294,25 @@ def _finalize(
         instance=instance,
         answers=answers,
         mode=mode,
+        invents_oids=engine.analysis.has_invention,
+        extended=extended,
     )
+
+
+def _insert_only(module: Module, mode: Mode) -> bool:
+    """A RIDV module that changes no schema and adds no denial."""
+    return mode is Mode.RIDV and not (
+        module.equations or module.isa or module.functions
+        or any(r.is_denial for r in module.rules)
+    )
+
+
+def _inserted(before: FactSet, after: FactSet) -> list[Fact] | None:
+    """``after − before`` if ``after ⊇ before`` (nothing deleted, no
+    o-value overwritten), else None."""
+    if not before.issubset(after):
+        return None
+    return list(after.minus(before).facts())
 
 
 def _apply_ridi(state, module, semantics, config, oidgen, obs=None):
@@ -249,6 +328,7 @@ def _apply_ridi(state, module, semantics, config, oidgen, obs=None):
         instance=result.instance,
         answers=result.answers,
         mode=Mode.RIDI,
+        invents_oids=result.invents_oids,
     )
 
 
@@ -290,7 +370,7 @@ def _update_edb(
 
 
 def _apply_datavariant(state, module, mode, semantics, config, oidgen,
-                       obs=None):
+                       obs=None, base=None):
     schema1 = module.extend_schema(state.schema)
     e1 = _update_edb(state, module, schema1, semantics, config, oidgen)
     rules1 = state.rules
@@ -298,7 +378,7 @@ def _apply_datavariant(state, module, mode, semantics, config, oidgen,
         rules1 = rules1 + tuple(module.rules)
     new_state = DatabaseState(schema=schema1, edb=e1, rules=rules1)
     return _finalize(new_state, module, mode, semantics, config, oidgen,
-                     obs)
+                     obs, base=base, prior_edb=state.edb)
 
 
 def _apply_rddv(state, module, semantics, config, oidgen, obs=None):

@@ -30,11 +30,12 @@ import json
 from repro.errors import TransactionError
 from repro.language.ast import Program
 from repro.modules.state import DatabaseState
-from repro.observability.report import fingerprint
+from repro.observability.report import fingerprint, fingerprint_parts
 from repro.storage.persist import (
-    encode_factset,
+    canonical_fact_texts,
     encode_program,
     encode_schema,
+    json_list_parts,
 )
 from repro.values.oids import OidGenerator
 
@@ -48,7 +49,10 @@ def state_fingerprints(state: DatabaseState) -> dict[str, str]:
 
     return {
         "schema": fp(encode_schema(state.schema)),
-        "edb": fp(encode_factset(state.edb)),
+        # the same hash as fp(encode_factset(edb)), one fact at a time
+        "edb": fingerprint_parts(
+            json_list_parts(canonical_fact_texts(state.edb))
+        ),
         "program": fp(encode_program(Program(state.rules))),
     }
 
@@ -69,7 +73,10 @@ class Savepoint:
     """
 
     def __init__(self, state: DatabaseState,
-                 oidgen: OidGenerator | None = None):
+                 oidgen: OidGenerator | None = None,
+                 fingerprints: dict[str, str] | None = None):
+        """``fingerprints``, when the caller already holds them, are
+        ``state_fingerprints(state)``; they are then not recomputed."""
         self.state = state
         self.oidgen = oidgen
         self._schema = state.schema
@@ -77,7 +84,8 @@ class Savepoint:
         self._owns_journal = not state.edb.journaling
         self._mark = state.edb.begin_journal()
         self._oid_next = oidgen.next_number if oidgen is not None else None
-        self.fingerprints = state_fingerprints(state)
+        self.fingerprints = (fingerprints if fingerprints is not None
+                             else state_fingerprints(state))
 
     def rollback(self) -> None:
         """Restore the captured state exactly; verify by fingerprint."""

@@ -352,10 +352,12 @@ class _Handler(BaseHTTPRequestHandler):
                     status, payload = self._dispatch(
                         op, db_name, body or {}, tenant
                     )
-                    retry = (app.config.retry_after
-                             if status == 503 else None)
-                    status = self._reply(status, payload,
-                                         retry_after=retry, run_id=run_id)
+                # the slot bounds work, not socket writes: released
+                # before the reply, so a client holding the response
+                # never sees its own request still admitted
+                retry = app.config.retry_after if status == 503 else None
+                status = self._reply(status, payload,
+                                     retry_after=retry, run_id=run_id)
             except Overloaded as exc:
                 status = self._reply(429, error_body(
                     "LG807", str(exc),

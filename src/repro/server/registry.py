@@ -14,6 +14,13 @@ with everything a server needs to share it safely:
   evaluates once per ``(applied_seq, semantics)`` and later reads at
   the same seq answer from the held instance (no invalidation code: a
   committed write or replay moves the seq past every entry);
+* the **write path** over that instance — a write hands the *checked*
+  entry of its semantics (one a committed write or replay stored) to
+  :func:`~repro.modules.apply.apply_module` as the base an insert-only
+  write extends, and once committed leaves its own instance as the
+  entry of the new seq when the program invents no oids (the instance
+  then equals a fresh-generator read), so the read after a write hits;
+  replay threads the entry from record to record the same way;
 * the **write-ahead log** (:mod:`repro.server.wal`) appended-and-fsynced
   before any write is acknowledged;
 * **snapshot + recovery**: the state is periodically rewritten through
@@ -40,14 +47,14 @@ from repro.core.database import Database
 from repro.engine import EvalConfig, Semantics
 from repro.engine.guards import ResourceGuard
 from repro.errors import LogresError, StorageError
-from repro.language.ast import Rule
+from repro.language.ast import Program, Rule
 from repro.modules.apply import ApplicationResult, apply_module
 from repro.modules.module import Mode, Module
 from repro.modules.state import DatabaseState, materialize
 from repro.modules.txn import state_fingerprints
 from repro.server.wal import WriteAheadLog, make_record
 from repro.storage.factset import FactSet
-from repro.storage.persist import atomic_write_text
+from repro.storage.persist import atomic_write_text, iter_state_text
 from repro.testing.faults import FAULTS
 from repro.types.schema import Schema
 from repro.values.oids import OidGenerator
@@ -136,13 +143,18 @@ class Materialized:
     deterministic, so any guard at least as loose in every dimension
     would have succeeded too; a tighter one must re-evaluate to
     reproduce its breach exactly.  The instance is shared between
-    concurrent readers and must never be mutated."""
+    concurrent readers and must never be mutated.
+
+    ``checked`` is true only for an entry stored by a committed write
+    or by WAL replay: the state it is the instance of passed the
+    consistency check, so a later insert-only write may extend it."""
 
     seq: int
     limits: tuple[int | None, ...]
     schema: Schema
     denials: tuple[Rule, ...]
     instance: FactSet
+    checked: bool = False
 
     def covers(self, limits: tuple[int | None, ...]) -> bool:
         """True when every requested limit is at least as loose as the
@@ -187,6 +199,10 @@ class ManagedDatabase:
         #: whose ``seq`` is behind ``applied_seq`` is simply never hit
         self._materialized: dict[Semantics, Materialized] = {}
         self._materialized_lock = threading.Lock()
+        #: ``(state, state_fingerprints(state))`` of the last committed
+        #: or replayed write; a write whose state is still that object
+        #: hands them to its savepoint instead of hashing the EDB again
+        self._committed: tuple[DatabaseState, dict[str, str]] | None = None
         #: optional :class:`~repro.observability.MetricsRegistry` that
         #: counts :meth:`materialized` hits and misses per database
         self.metrics = metrics
@@ -339,15 +355,23 @@ class ManagedDatabase:
         the in-memory state back, fingerprint-verified), then append to
         the WAL (the commit point — on append failure the in-memory
         advance is abandoned and the oid generator restored), then
-        advance the in-memory state and maybe snapshot."""
+        advance the in-memory state, hold the new instance and maybe
+        snapshot.  The held entry of ``semantics`` is the base an
+        insert-only write extends (:meth:`_base`), and the last
+        commit's ``post`` fingerprints are the savepoint's
+        (:meth:`_fingerprints`); each committed write counts in
+        ``server_writes{db,path}``."""
         sem = semantics or self.semantics
         module = Module.from_source(module_source, name=module_name)
+        limits = _guard_limits(config.guard if config is not None else None)
         with self.lock.write():
             oid_next_before = self.db.oidgen.next_number
             result = apply_module(
                 self.db.state, module, mode,
                 semantics=sem, config=config,
                 oidgen=self.db.oidgen, check_initial=False,
+                base=self._base(sem, limits),
+                fingerprints=self._fingerprints(),
             )
             if mode is Mode.RIDI:
                 # rule- and data-invariant: a pure query, no state
@@ -373,6 +397,14 @@ class ManagedDatabase:
             self.applied_seq += 1
             self.db.state = result.state
             self.db._instance_cache = None
+            self._committed = (result.state, record["post"])
+            self._hold(sem, limits, result)
+            if self.metrics is not None:
+                # writes are serialized by the write lock
+                self.metrics.inc("server_writes", (
+                    ("db", self.name),
+                    ("path", "extend" if result.extended else "full"),
+                ))
             self._writes_since_snapshot += 1
             if self._writes_since_snapshot >= self.snapshot_interval:
                 try:
@@ -387,6 +419,39 @@ class ManagedDatabase:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _base(self, semantics: Semantics,
+              limits: tuple[int | None, ...]) -> FactSet | None:
+        """The instance a write under ``limits`` may extend: the held
+        entry at the current seq, checked, filled under limits no
+        looser than the write's.  Called under the write lock."""
+        held = self._materialized.get(semantics)
+        if held is not None and held.seq == self.applied_seq \
+                and held.checked and held.covers(limits):
+            return held.instance
+        return None
+
+    def _fingerprints(self) -> dict[str, str] | None:
+        """``state_fingerprints`` of the current state if the last
+        commit or replay left them and the state is still its own."""
+        if self._committed is not None \
+                and self._committed[0] is self.db.state:
+            return self._committed[1]
+        return None
+
+    def _hold(self, semantics: Semantics, limits: tuple[int | None, ...],
+              result: ApplicationResult) -> None:
+        """Keep a committed write's instance as the entry of the new
+        seq.  Only when the program invents no oids: the instance then
+        equals a fresh-generator read, whatever generator it drew."""
+        if result.invents_oids:
+            return
+        entry = Materialized(
+            self.applied_seq, limits, result.state.schema,
+            result.state.denials(), result.instance, checked=True,
+        )
+        with self._materialized_lock:
+            self._materialized[semantics] = entry
+
     def _replay(self, record: dict) -> None:
         if record.get("kind") != "apply":
             raise StorageError(
@@ -397,11 +462,15 @@ class ManagedDatabase:
             record["module"], name=record.get("module_name", "")
         )
         self.db.oidgen.restore(max(1, int(record["oid_next"])))
+        semantics = Semantics(record["semantics"])
+        limits = _guard_limits(None)
         try:
             result = apply_module(
                 self.db.state, module, Mode(record["mode"]),
-                semantics=Semantics(record["semantics"]),
+                semantics=semantics,
                 oidgen=self.db.oidgen, check_initial=False,
+                base=self._base(semantics, limits),
+                fingerprints=self._fingerprints(),
             )
         except LogresError as exc:
             raise StorageError(
@@ -421,6 +490,8 @@ class ManagedDatabase:
         self.db.state = result.state
         self.db._instance_cache = None
         self.applied_seq = int(record["seq"])
+        self._committed = (result.state, post)
+        self._hold(semantics, limits, result)
 
     def _write_snapshot(self) -> None:
         """Atomic snapshot rewrite carrying the covered WAL position.
@@ -431,13 +502,12 @@ class ManagedDatabase:
         ``oid_next``."""
         if FAULTS.enabled:
             FAULTS.fire("server.snapshot")
-        envelope = json.loads(self.db.dumps())
-        envelope["wal_seq"] = self.applied_seq
-        envelope["oid_next"] = self.db.oidgen.next_number
-        atomic_write_text(
-            self.snapshot_path,
-            json.dumps(envelope, indent=1, sort_keys=True),
-        )
+        state = self.db.state
+        atomic_write_text(self.snapshot_path, iter_state_text(
+            state.schema, state.edb, Program(state.rules),
+            wal_seq=self.applied_seq,
+            oid_next=self.db.oidgen.next_number,
+        ))
         self.wal.truncate(up_to_seq=self.applied_seq)
         self._writes_since_snapshot = 0
 

@@ -18,6 +18,7 @@ instead of forcing an O(|F|) rebuild on the next lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Iterator
 
 from repro.errors import StorageError
@@ -79,15 +80,24 @@ class FactSet:
         return fs
 
     def copy(self) -> "FactSet":
+        """An independent copy carrying the built indexes.
+
+        Readers sharing a set publish lazy indexes into ``_indexes`` and
+        its per-predicate dicts while a copy may be iterating them, so
+        every index level is snapshotted with ``tuple(d.items())``
+        first (one C-level call, atomic under the GIL)."""
         out = FactSet()
         out._assoc = {p: set(ts) for p, ts in self._assoc.items()}
         out._class = {p: dict(m) for p, m in self._class.items()}
         out._indexes = {
             pred: {
-                label: {key: list(bucket) for key, bucket in by_label.items()}
-                for label, by_label in index.items()
+                label: {
+                    key: list(bucket)
+                    for key, bucket in tuple(by_label.items())
+                }
+                for label, by_label in tuple(index.items())
             }
-            for pred, index in self._indexes.items()
+            for pred, index in tuple(self._indexes.items())
         }
         out._max_oid = self._max_oid
         out.index_stats = self.index_stats
@@ -343,12 +353,32 @@ class FactSet:
         return out
 
     def minus(self, other: "FactSet") -> "FactSet":
-        """Facts of ``self`` not present in ``other`` (exact match)."""
+        """Facts of ``self`` not present in ``other`` (exact match), in
+        ``self``'s order.  Each predicate's table is filtered against
+        ``other``'s in one C-level pass; only the facts kept become
+        :class:`Fact` objects."""
         out = FactSet()
-        for fact in self.facts():
-            if fact not in other:
-                out.add(fact)
+        for pred, table in self._class.items():
+            theirs = other._class.get(pred, {}).items()
+            for oid, value in filterfalse(theirs.__contains__,
+                                          table.items()):
+                out.add(Fact(pred, value, oid))
+        for pred, values in self._assoc.items():
+            theirs = other._assoc.get(pred, set())
+            for value in filterfalse(theirs.__contains__, values):
+                out.add(Fact(pred, value))
         return out
+
+    def issubset(self, other: "FactSet") -> bool:
+        """Whether every fact of ``self`` is in ``other`` (class facts
+        with the same o-value)."""
+        return all(
+            values <= other._assoc.get(pred, set())
+            for pred, values in self._assoc.items()
+        ) and all(
+            table.items() <= other._class.get(pred, {}).items()
+            for pred, table in self._class.items()
+        )
 
     def intersection(self, other: "FactSet") -> "FactSet":
         out = FactSet()

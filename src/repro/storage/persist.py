@@ -20,6 +20,8 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Callable, Iterable, Iterator
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import StorageError
@@ -224,18 +226,52 @@ def decode_schema(payload: Any) -> Schema:
 # ---------------------------------------------------------------------------
 # fact sets
 # ---------------------------------------------------------------------------
-def encode_factset(facts: FactSet) -> Any:
-    out = []
+def _fact_entry(fact: Fact) -> dict[str, Any]:
+    entry: dict[str, Any] = {
+        "pred": fact.pred,
+        "value": encode_value(fact.value),
+    }
+    if fact.oid is not None:
+        entry["oid"] = fact.oid.number
+    return entry
+
+
+def _in_canonical_order(facts: FactSet, render: Callable) -> list:
+    """``render(entry)`` of every fact's encoded entry, sorted by the
+    entry's default ``json.dumps``.  Only the sort keys and renderings
+    are held, so a compact ``render`` never holds every entry at once."""
+    keyed = []
     for fact in facts.facts():
-        entry: dict[str, Any] = {
-            "pred": fact.pred,
-            "value": encode_value(fact.value),
-        }
-        if fact.oid is not None:
-            entry["oid"] = fact.oid.number
-        out.append(entry)
-    out.sort(key=json.dumps)
-    return out
+        entry = _fact_entry(fact)
+        keyed.append((json.dumps(entry), render(entry)))
+    keyed.sort(key=itemgetter(0))
+    return [rendered for _, rendered in keyed]
+
+
+def encode_factset(facts: FactSet) -> Any:
+    return _in_canonical_order(facts, lambda entry: entry)
+
+
+#: the canonical (sorted, unspaced) encoding checksums and fingerprints
+#: hash
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_fact_texts(facts: FactSet) -> list[str]:
+    """The canonical JSON of each :func:`encode_factset` entry, in its
+    order: ``"[" + ",".join(texts) + "]"`` is ``json.dumps(
+    encode_factset(facts), sort_keys=True, separators=(",", ":"))``,
+    with neither the entries nor the whole text ever built."""
+    return _in_canonical_order(facts, _CANONICAL.encode)
+
+
+def json_list_parts(texts: list[str]) -> Iterator[str]:
+    """The pieces of ``"[" + ",".join(texts) + "]"``, for hashing
+    without joining."""
+    yield "["
+    for i, text in enumerate(texts):
+        yield "," + text if i else text
+    yield "]"
 
 
 def decode_factset(payload: Any) -> FactSet:
@@ -402,14 +438,51 @@ def state_checksum(body: dict) -> str:
 def dumps_state(schema: Schema, edb: FactSet, program: Program) -> str:
     """Serialize a database state triple to a JSON string (format v2:
     version field + checksum over the canonical body)."""
-    body = {
-        "schema": encode_schema(schema),
-        "edb": encode_factset(edb),
-        "program": encode_program(program),
-    }
-    payload = {"version": FORMAT_VERSION,
-               "checksum": state_checksum(body), **body}
-    return json.dumps(payload, indent=1, sort_keys=True)
+    return "".join(iter_state_text(schema, edb, program))
+
+
+#: EDB entries :func:`iter_state_text` renders per ``json.dumps`` call
+_STATE_CHUNK = 256
+
+
+def iter_state_text(schema: Schema, edb: FactSet, program: Program,
+                    **envelope: Any) -> Iterator[str]:
+    """:func:`dumps_state`'s text in pieces, with ``envelope`` as extra
+    top-level fields outside the checksummed body.
+
+    The EDB is rendered :data:`_STATE_CHUNK` entries at a time from
+    :func:`canonical_fact_texts` (which its checksum hashes too), so
+    neither its whole JSON tree nor the whole text is ever held."""
+    texts = canonical_fact_texts(edb)
+    rest = {"schema": encode_schema(schema),
+            "program": encode_program(program)}
+    # "edb" sorts first: the canonical body is '{"edb":[...]' + tail
+    tail = _CANONICAL.encode({"edb": [], **rest})[len('{"edb":[]'):]
+    digest = hashlib.sha256(b'{"edb":')
+    for part in json_list_parts(texts):
+        digest.update(part.encode("utf-8"))
+    digest.update(tail.encode("utf-8"))
+    payload = {"version": FORMAT_VERSION, "checksum": digest.hexdigest(),
+               "edb": [], **rest, **envelope}
+    # a top-level key is the only line indented by exactly one space
+    # (strings hold no raw newlines), so this split point is unique
+    marker = '\n "edb": []'
+    head, after = json.dumps(payload, indent=1, sort_keys=True).split(
+        marker, 1)
+    yield head
+    if not texts:
+        yield marker
+    else:
+        yield '\n "edb": ['
+        for start in range(0, len(texts), _STATE_CHUNK):
+            entries = json.loads(
+                "[" + ",".join(texts[start:start + _STATE_CHUNK]) + "]")
+            # '[\n {...},\n {...}\n]' lists items one level deep; the
+            # EDB's items sit one level deeper
+            block = json.dumps(entries, indent=1, sort_keys=True)[2:-2]
+            yield ("," if start else "") + "\n " + block.replace("\n", "\n ")
+        yield "\n ]"
+    yield after
 
 
 def loads_state(text: str) -> tuple[Schema, FactSet, Program]:
@@ -454,9 +527,10 @@ def loads_state(text: str) -> tuple[Schema, FactSet, Program]:
     )
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
     """Crash-safe replacement write: temp file in the target directory,
-    flush + fsync, then atomic rename over ``path``.
+    flush + fsync, then atomic rename over ``path``.  ``text`` may be
+    an iterable of pieces, written as they come.
 
     A crash (or injected fault) at any point leaves either the old file
     intact or the new file complete — never a torn payload; the orphan
@@ -471,7 +545,10 @@ def atomic_write_text(path, text: str) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            if isinstance(text, str):
+                f.write(text)
+            else:
+                f.writelines(text)
             f.flush()
             if FAULTS.enabled:
                 FAULTS.fire("storage.fsync")

@@ -60,6 +60,14 @@ LEAF_RULE = "rules\n  leaf(n Y) <- parent(par X, chil Y), ~person(n Y).\n"
 #: a denial the leaf rule can violate under inflationary semantics
 DENIAL = "rules\n  <- leaf(n X), person(n X).\n"
 
+#: a class with an oid-inventing rule: one object per person
+INVENTING = """
+classes
+  tag = (n: string).
+rules
+  tag(self T, n X) <- person(n X).
+"""
+
 REFERENCE = EvalConfig(incremental=False, plan=False)
 NAMES = [f"p{i}" for i in range(8)]
 DB = "demo"
@@ -225,28 +233,57 @@ class TestInterleavings:
             _assert_entries_committed(managed)
         assert _hits(app) > 0 and _misses(app) > 0
 
-    def test_repeated_read_hits_and_a_write_misses(self, server):
+    def test_repeated_read_hits_and_a_write_refills_the_entry(self, server):
         app, base = server
+        managed = app.registry.get(DB)
         body = {"goal": '?- anc(a "p0", d X).'}
         post_json(base, f"/v1/db/{DB}/run", body)
         hits, misses = _hits(app), _misses(app)
         status, first, _ = post_json(base, f"/v1/db/{DB}/run", body)
         assert status == 200
         assert (_hits(app), _misses(app)) == (hits + 1, misses)
-        # a committed write advances applied_seq: the next read misses
+        # a committed write to an invention-free program leaves its
+        # instance as the entry of the new seq: the next read hits and
+        # equals the reference answer
         post_json(base, f"/v1/db/{DB}/apply", {
             "module": 'rules\n  parent(par "p8", chil "p9").',
             "mode": "RIDV"})
         status, second, _ = post_json(base, f"/v1/db/{DB}/run", body)
         assert status == 200
-        assert _misses(app) == misses + 1
+        assert (_hits(app), _misses(app)) == (hits + 2, misses)
         assert len(second["answers"]) == len(first["answers"]) + 1
+        _, want = _expected_read(managed.read_snapshot(), "run", body,
+                                 Semantics.INFLATIONARY)
+        assert _sorted(second) == _sorted(want)
         # RIDI changes nothing: the entry stays valid
         post_json(base, f"/v1/db/{DB}/apply", {
             "module": 'rules\n  parent(par "x", chil "y").',
             "mode": "RIDI"})
         post_json(base, f"/v1/db/{DB}/run", body)
-        assert _misses(app) == misses + 1
+        assert (_hits(app), _misses(app)) == (hits + 3, misses)
+
+    def test_a_write_to_an_inventing_program_misses(self, server):
+        """A committed instance that drew invented oids from the
+        database's generator may differ from a fresh read by oid
+        renaming, so it is not kept: the next read misses."""
+        app, base = server
+        body = {"goal": "?- tag(self T, n X)."}
+        status, _, _ = post_json(base, f"/v1/db/{DB}/apply", {
+            "module": INVENTING, "mode": "RADV"})
+        assert status == 200
+        post_json(base, f"/v1/db/{DB}/run", body)
+        hits, misses = _hits(app), _misses(app)
+        status, first, _ = post_json(base, f"/v1/db/{DB}/run", body)
+        assert status == 200
+        assert (_hits(app), _misses(app)) == (hits + 1, misses)
+        status, _, _ = post_json(base, f"/v1/db/{DB}/apply", {
+            "module": 'rules\n  parent(par "p8", chil "p9").',
+            "mode": "RIDV"})
+        assert status == 200
+        status, second, _ = post_json(base, f"/v1/db/{DB}/run", body)
+        assert status == 200
+        assert (_hits(app), _misses(app)) == (hits + 1, misses + 1)
+        assert len(second["answers"]) == len(first["answers"]) + 1
 
     def test_semantics_are_held_separately(self, server):
         app, base = server

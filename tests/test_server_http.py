@@ -311,14 +311,34 @@ class TestTelemetry:
         assert 'repro_server_db_applied_seq{db="demo"} 1' in text
         assert "repro_server_request_seconds_count" in text
         assert "repro_server_admission_active 0" in text
-        assert 'repro_server_read_cache_misses_total{db="demo"} 1' in text
+        # the fixture's committed write left its instance as the entry
+        # of the new seq, so the first read already hits
+        assert 'repro_server_read_cache_hits_total{db="demo"} 1' in text
+        assert 'repro_server_read_cache_misses_total{db="demo"}' \
+            not in text
         # a second read at the same applied_seq answers from the held
         # instance: the hit counter moves, the miss counter does not
         post_json(base, "/v1/db/demo/run", {})
         with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:
             text = resp.read().decode()
-        assert 'repro_server_read_cache_hits_total{db="demo"} 1' in text
-        assert 'repro_server_read_cache_misses_total{db="demo"} 1' in text
+        assert 'repro_server_read_cache_hits_total{db="demo"} 2' in text
+        assert 'repro_server_read_cache_misses_total{db="demo"}' \
+            not in text
+        # the fixture's write had no held instance to extend; an insert
+        # into the same invention-free program extends the held one
+        assert ('repro_server_writes_total{db="demo",path="full"} 1'
+                in text)
+        assert 'path="extend"' not in text
+        status, _, _ = post_json(base, "/v1/db/demo/apply", {
+            "module": 'rules\n  parent(par "p8", chil "p9").',
+            "mode": "RIDV"})
+        assert status == 200
+        with urllib.request.urlopen(base + "/metrics", timeout=10) as resp:
+            text = resp.read().decode()
+        assert ('repro_server_writes_total{db="demo",path="extend"} 1'
+                in text)
+        assert ('repro_server_writes_total{db="demo",path="full"} 1'
+                in text)
 
     def test_requests_publish_bus_events(self, tmp_path):
         bus = EventBus()
