@@ -14,11 +14,23 @@ The **non-inflationary** semantics recomputes ``Fⁱ⁺¹`` from the
 extensional database and the facts derivable from ``Fⁱ`` alone; it may
 oscillate, which is detected and reported.
 
-A **semi-naive** fast path handles the positive, deletion-free,
-invention-free fragment: each iteration only re-joins rule bodies through
-the facts that are new since the previous iteration.  It computes the same
-fixpoint as the inflationary operator on that fragment (property-tested)
-and is the configuration benchmarked against the naive evaluator.
+A **semi-naive** fast path evaluates every stratum whose rules have
+positive association heads, no oid invention, no active-domain
+variables and no data-function reads, and whose negated literals read
+only predicates the stratum does not define: each iteration only
+re-joins rule bodies through the facts that are new since the previous
+iteration.  The negated predicates are complete in lower strata, so the
+rounds compute the same fixpoint, in the same number of iterations, as
+the inflationary operator (property-tested against the reference
+kernel, which keeps the general path in every stratum).  Under
+inflationary semantics the whole program is one scope, and it takes the
+fast path only when it is also negation-free: its instance is then
+monotone in the EDB, which is what :meth:`Engine.extend` relies on.
+
+A scope that reads none of its own predicates, deletes nothing and
+whose class heads all invent their oids reaches its fixpoint after one
+round of the general path: a second round would see the same
+valuations over the same facts, every head already satisfied.
 
 Termination is undecidable (Appendix B), so every loop is guarded by the
 iteration / fact / invention budgets of :class:`EvalConfig` and raises
@@ -208,7 +220,7 @@ class Engine:
             semantics in (Semantics.INFLATIONARY, Semantics.STRATIFIED)
             and not self.obs.enabled
             and self.config.seminaive
-            and self._seminaive_applicable(self._head_rules())
+            and self._monotone(self._head_rules())
         )
 
     def extend(
@@ -283,7 +295,7 @@ class Engine:
                 facts.index_stats = obs.index_stats
             self._attach_plans(rules, facts, obs, semantics)
             if not obs.enabled and self.config.seminaive and \
-                    self._seminaive_applicable(rules):
+                    self._monotone(rules):
                 self.stats.used_seminaive = True
                 return self._run_seminaive(facts, rules)
             return self._run_inflationary(facts, rules, inventions, obs)
@@ -293,6 +305,9 @@ class Engine:
             facts = edb.copy()
             if obs.enabled:
                 facts.index_stats = obs.index_stats
+            # the reference kernel keeps the general path per stratum
+            seminaive = not obs.enabled and self.config.seminaive and \
+                self.config.incremental
             for level, stratum in enumerate(strata):
                 # per-stratum planning: lower strata have materialized,
                 # so the statistics are live at each boundary
@@ -301,8 +316,12 @@ class Engine:
                 if obs.enabled:
                     obs.stratum_started(level, len(stratum))
                     stratum_began = time.perf_counter()
-                facts = self._run_inflationary(facts, stratum, inventions,
-                                               obs)
+                if seminaive and self._seminaive_applicable(stratum):
+                    self.stats.used_seminaive = True
+                    facts = self._run_seminaive(facts, stratum)
+                else:
+                    facts = self._run_inflationary(facts, stratum,
+                                                   inventions, obs)
                 if obs.enabled:
                     obs.stratum_finished(
                         level, time.perf_counter() - stratum_began
@@ -510,7 +529,8 @@ class Engine:
         net change are invalidated.  Fixpoint is detected by an empty
         net change and the fact count is maintained by a running
         counter, so no iteration copies, compares or recounts the full
-        fact set.
+        fact set.  A scope that :meth:`_one_round` accepts returns after
+        its first round.
         """
         cfg = self.config
         guard = cfg.guard
@@ -520,6 +540,7 @@ class Engine:
                            metrics=metrics)
         domains = ActiveDomains(facts, self.schema)
         live = facts.count()
+        once = self._one_round(rules)
         for _ in range(cfg.max_iterations):
             self._guard_boundary(guard, facts, live, inventions.count,
                                  obs)
@@ -552,11 +573,39 @@ class Engine:
                     self.stats.iterations,
                     stats=self.stats,
                 )
+            if once:
+                # the boundary check the skipped second round would make
+                self._guard_boundary(guard, facts, live, inventions.count,
+                                     obs)
+                return facts
         raise NonTerminationError(
             f"no fixpoint after {cfg.max_iterations} iterations",
             self.stats.iterations,
             stats=self.stats,
         )
+
+    def _one_round(self, rules: list[RuleRuntime]) -> bool:
+        """Whether the scope's first round already reaches the fixpoint.
+
+        It does when no rule reads a predicate the scope defines (body
+        literal or data-function read), no head deletes, every class
+        head invents its oid and no rule has active-domain variables:
+        a second round sees the same valuations over the same facts,
+        and each head is satisfied by what the first round derived.
+        A class head with a bound oid is excluded: two such rules can
+        overwrite one o-value in turn, which the reference kernel
+        reports as non-termination."""
+        defined = {r.rule.head.pred.lower() for r in rules}
+        for runtime in rules:
+            head = runtime.rule.head
+            if head.negated or runtime.safety.active_domain_vars:
+                return False
+            if self.schema.is_class(head.pred) and \
+                    not runtime.safety.invents_oid:
+                return False
+            if not defined.isdisjoint(_read_preds(runtime.rule)):
+                return False
+        return True
 
     def _run_inflationary_reference(
         self,
@@ -616,6 +665,15 @@ class Engine:
     # semi-naive fast path (positive fragment)
     # ------------------------------------------------------------------
     def _seminaive_applicable(self, rules: list[RuleRuntime]) -> bool:
+        """Whether semi-naive rounds compute this scope's fixpoint.
+
+        Every head must be a positive association literal with no
+        invention, no builtin or head may read a data function, no
+        variable may range over the active domain, and every negated
+        literal must read a predicate no rule of the scope defines —
+        the negation is then over constants (the EDB, or a complete
+        lower stratum) and the scope is monotone in what it derives."""
+        defined = {r.rule.head.pred.lower() for r in rules}
         for runtime in rules:
             rule = runtime.rule
             head = rule.head
@@ -625,15 +683,28 @@ class Engine:
                 return False
             if runtime.safety.invents_oid:
                 return False
+            if runtime.safety.active_domain_vars:
+                return False
+            if any(_function_preds(t) for _, t in head.args.labeled):
+                return False
             for blit in rule.body:
-                if blit.negated:
-                    return False
                 if isinstance(blit, BuiltinLiteral):
-                    if any(
-                        _reads_function(t) for t in blit.args
-                    ):
+                    if any(_function_preds(t) for t in blit.args):
                         return False
+                elif blit.negated and blit.pred.lower() in defined:
+                    return False
         return True
+
+    def _monotone(self, rules: list[RuleRuntime]) -> bool:
+        """Whether the whole-program scope runs semi-naive: applicable
+        and negation-free.  Its instance is then monotone in the EDB,
+        so whatever :meth:`run` evaluates semi-naively under
+        inflationary semantics :meth:`extend` can continue — an insert
+        into a predicate read under negation could retract derived
+        facts instead."""
+        return not any(
+            lit.negated for r in rules for lit in r.rule.body
+        ) and self._seminaive_applicable(rules)
 
     def _run_seminaive(
         self,
@@ -648,6 +719,8 @@ class Engine:
         cfg = self.config
         guard = cfg.guard
         incremental = cfg.incremental
+        # the iteration budget is per scope, as on the general path
+        start = self.stats.iterations
         inventions = InventionRegistry(self.oidgen)  # unused but uniform
         obs = NULL_INSTRUMENTATION  # semi-naive only runs uninstrumented
         if delta is not None:
@@ -662,7 +735,7 @@ class Engine:
             # every rule pre-armed hot: the whole fixpoint, initial
             # round included, runs on the compiled driver
             return self._run_seminaive_compiled(facts, rules, None,
-                                                facts.count())
+                                                facts.count(), start)
         else:
             # initial round: fact rules and rules over the EDB
             self._guard_boundary(guard, facts, facts.count(), 0)
@@ -696,10 +769,10 @@ class Engine:
                 # every rule crossed the work threshold: hand the rest
                 # of the fixpoint to the compiled driver
                 return self._run_seminaive_compiled(facts, rules, delta,
-                                                    live)
+                                                    live, start)
             self._guard_boundary(guard, facts, live, 0)
             with self._iteration(obs):
-                if self.stats.iterations > cfg.max_iterations:
+                if self.stats.iterations - start > cfg.max_iterations:
                     raise NonTerminationError(
                         f"no fixpoint after {cfg.max_iterations}"
                         f" iterations",
@@ -775,6 +848,7 @@ class Engine:
         rules: list[RuleRuntime],
         delta: FactSet | None,
         live: int,
+        start: int,
     ) -> FactSet:
         """Semi-naive rounds driven entirely by compiled rule bodies.
 
@@ -787,7 +861,8 @@ class Engine:
 
         ``delta=None`` means the initial round has not run yet: the
         full body chains evaluate once over the EDB and their net-new
-        facts seed the delta rounds.
+        facts seed the delta rounds.  ``start`` is the iteration count
+        at which the scope began; its budget counts from there.
         """
         cfg = self.config
         guard = cfg.guard
@@ -819,7 +894,7 @@ class Engine:
         while pending:
             self._guard_boundary(guard, facts, live, 0)
             with self._iteration(obs):
-                if self.stats.iterations > cfg.max_iterations:
+                if self.stats.iterations - start > cfg.max_iterations:
                     raise NonTerminationError(
                         f"no fixpoint after {cfg.max_iterations}"
                         f" iterations",
@@ -921,14 +996,35 @@ class Engine:
         )
 
 
-def _reads_function(term) -> bool:
+def _function_preds(term) -> set[str]:
+    """The backing predicates of the data functions ``term`` reads."""
     if isinstance(term, FunctionApp):
-        return True
+        out = {f"__fn_{term.name}".lower()}
+        for arg in term.args:
+            out |= _function_preds(arg)
+        return out
     if isinstance(term, ArithExpr):
-        return _reads_function(term.left) or _reads_function(term.right)
+        return _function_preds(term.left) | _function_preds(term.right)
     if isinstance(term, CollectionTerm):
-        return any(_reads_function(e) for e in term.elements)
-    return False
+        return set().union(*(_function_preds(e) for e in term.elements))
+    return set()
+
+
+def _read_preds(rule: Rule) -> set[str]:
+    """Every predicate ``rule`` reads: its body literals' predicates
+    and the backing predicates of the data functions in its builtins,
+    literal arguments and head."""
+    out: set[str] = set()
+    terms = [t for _, t in rule.head.args.labeled]
+    for blit in rule.body:
+        if isinstance(blit, BuiltinLiteral):
+            terms.extend(blit.args)
+        else:
+            out.add(blit.pred.lower())
+            terms.extend(t for _, t in blit.args.labeled)
+    for term in terms:
+        out |= _function_preds(term)
+    return out
 
 
 def stratify_runtimes(

@@ -21,7 +21,9 @@ that optimizer, unified for both evaluation paths:
   would pick.  The identities live in :mod:`repro.algres.optimize`
   (below the engine in the import graph) and are re-exported here, so
   this module is the one optimizer surface for both evaluation paths:
-  join orders and rewrites each exist exactly once.
+  join orders and rewrites each exist exactly once.  The re-export is
+  lazy (a module ``__getattr__``): planning a rule body never loads
+  the algebra package.
 
 A plan is advisory: when a body cannot be ordered statically (a literal
 would never become schedulable), :func:`build_plan` records a fallback
@@ -33,13 +35,9 @@ bit for bit.  Plans are observable — each one is emitted as a
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 
-from repro.algres.optimize import (  # noqa: F401  (one-optimizer surface)
-    condition_fields,
-    optimize,
-    rename_condition,
-)
 from repro.language.ast import (
     BuiltinLiteral,
     Constant,
@@ -61,6 +59,18 @@ __all__ = [
     "condition_fields",
     "rename_condition",
 ]
+
+#: the algebraic identities re-exported from :mod:`repro.algres.optimize`
+_ALGRES_IDENTITIES = ("optimize", "condition_fields", "rename_condition")
+
+
+def __getattr__(name: str):
+    # importlib, not ``import ... as``: ``repro.algres`` rebinds its
+    # ``optimize`` attribute to the function of the same name
+    if name in _ALGRES_IDENTITIES:
+        return getattr(importlib.import_module("repro.algres.optimize"),
+                       name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Engine, EvalConfig, FactSet, Semantics, TupleValue
+from repro.engine.fixpoint import stratify_runtimes
 from repro.errors import NonTerminationError
 from repro.language.parser import parse_source
 
@@ -187,10 +188,16 @@ class TestSeminaiveEquivalence:
         engine = Engine(schema, program, EvalConfig(seminaive=True))
         edb = FactSet()
         edb.add_association("parent", TupleValue(par="a", chil="b"))
-        engine.run(edb, Semantics.STRATIFIED)
-        # stratified path never claims the semi-naive flag for the
-        # function-reading stratum
-        assert not engine.stats.used_seminaive
+        result = engine.run(edb, Semantics.STRATIFIED)
+        # the positive __fn_kids stratum qualifies; the stratum whose
+        # builtin reads kids(X) keeps the general path
+        strata = stratify_runtimes(engine._head_rules(), engine.analysis)
+        assert [
+            [r.rule.head.pred for r in stratum] for stratum in strata
+        ] == [["__fn_kids"], ["fan"]]
+        assert not engine._seminaive_applicable(strata[1])
+        naive = Engine(schema, program, EvalConfig(seminaive=False))
+        assert result == naive.run(edb, Semantics.STRATIFIED)
 
 
 class TestModesAreParametric:

@@ -332,6 +332,51 @@ def test_programs_outside_the_fragment_take_the_full_path(tmp_path, program,
     assert _writes(metrics, "full") > 0
 
 
+#: negation over a predicate no rule defines: the semi-naive rounds
+#: accept it, but an insert into ``blocked`` retracts derived facts
+BLOCKED = BASE_SCHEMA.replace(
+    "associations\n", "associations\n  blocked = (n: string).\n"
+) + """
+rules
+  anc(a X, d Y) <- parent(par X, chil Y), ~blocked(n Y).
+  anc(a X, d Z) <- parent(par X, chil Y), anc(a Y, d Z).
+"""
+
+
+@pytest.mark.parametrize("semantics", [Semantics.INFLATIONARY,
+                                       Semantics.STRATIFIED])
+def test_an_insert_read_under_negation_takes_the_full_path(tmp_path,
+                                                          semantics):
+    metrics = MetricsRegistry()
+    registry = DatabaseRegistry(tmp_path, metrics=metrics)
+    managed = registry.create("db", BLOCKED)
+    try:
+        managed.apply('rules\n  parent(par "a", chil "b").\n'
+                      '  parent(par "b", chil "c").', Mode.RIDV,
+                      semantics=semantics)
+        assert ("a", "b") in _anc(managed.materialized(semantics))
+        # the entry a monotone program would extend is in place
+        assert managed._base(semantics, (None, None, None)) is not None
+        full = _writes(metrics, "full")
+        result, _ = managed.apply('rules\n  blocked(n "b").', Mode.RIDV,
+                                  semantics=semantics)
+        assert not result.extended
+        assert _writes(metrics, "full") == full + 1
+        assert _writes(metrics, "extend") == 0
+        state = managed.read_snapshot()
+        assert result.instance == _reference(state, semantics)
+        held = managed.materialized(semantics)
+        assert held.instance == _reference(state, semantics)
+        assert ("a", "b") not in _anc(held)  # the insert retracted it
+    finally:
+        registry.close_all()
+
+
+def _anc(held) -> set[tuple[str, str]]:
+    return {(f.value["a"], f.value["d"])
+            for f in held.instance.facts_of("anc")}
+
+
 def test_snapshots_between_writes_keep_the_contract(tmp_path):
     metrics = _run_sequence(tmp_path, "positive", 9300, steps=30,
                             snapshot_interval=4)
