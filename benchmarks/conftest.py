@@ -39,23 +39,21 @@ def tc_unit():
 
 def run_logres(schema, program, edb, seminaive=True,
                semantics=Semantics.INFLATIONARY, max_facts=2_000_000,
-               plan=True, compile_threshold=64):
+               plan=True):
     engine = Engine(
         schema, program,
-        EvalConfig(seminaive=seminaive, max_facts=max_facts,
-                   plan=plan, compile_threshold=compile_threshold),
+        EvalConfig(seminaive=seminaive, max_facts=max_facts, plan=plan),
     )
     return engine.run(edb, semantics)
 
 
-def eval_config_info(seminaive=True, plan=True, compile_threshold=64):
+def eval_config_info(seminaive=True, plan=True):
     """The ``benchmark.extra_info["config"]`` payload: which engine
     configuration a row measured (recorded into ``BENCH_*.json``)."""
     return {
         "kernel": "incremental",
         "seminaive": seminaive,
         "plan": plan,
-        "compile_threshold": compile_threshold,
     }
 
 

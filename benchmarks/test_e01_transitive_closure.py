@@ -111,6 +111,5 @@ def test_all_routes_agree(tc_unit):
     native = run_logres(schema, program, edb, True)
     naive = run_logres(schema, program, edb, False)
     unplanned = run_logres(schema, program, edb, True, plan=False)
-    forced = run_logres(schema, program, edb, True, compile_threshold=0)
     compiled = compile_program(program, schema).run(edb)
-    assert native == naive == unplanned == forced == compiled
+    assert native == naive == unplanned == compiled

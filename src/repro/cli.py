@@ -1013,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--kernels", nargs="+", metavar="KERNEL",
         help="kernel configurations"
-             " (reference/incremental/planned/compiled)",
+             " (reference/incremental/compiled)",
     )
     p_bench.add_argument(
         "--semantics", nargs="+", metavar="SEM",

@@ -25,10 +25,11 @@ over a flat register file:
 Anything outside the fragment (oid invention, class heads, deletion
 heads, self/tuple/positional arguments, patterns, active-domain
 negation, collection terms in built-ins) returns None and keeps the
-generic path — the engine only *uses* a compiled body once the rule's
-observed work crosses ``EvalConfig.compile_threshold``, and never under
-instrumentation (events must see every valuation) or with indexes
-disabled.
+generic path for that rule alone; the other rules of its scope still
+run compiled, in the same rounds.  The engine runs a compiled body from
+the rule's first valuation, on the incremental kernel only: never on
+the reference kernel (``incremental=False``), under instrumentation
+(events must see every valuation) or with indexes disabled.
 
 Equivalence with the generic matcher is property-tested against the
 reference kernel (``tests/test_planned_kernel.py``).  One deliberate
@@ -108,7 +109,7 @@ class CompiledRule:
     ``chain(regs, ctx, emit)`` enumerates all valuations of the full
     body; ``seed_chains[pos](fact, regs, ctx, emit)`` enumerates the
     valuations in which body position ``pos`` is matched by ``fact``
-    (the semi-naive drivers feed delta facts through these).  ``emit``
+    (the semi-naive driver feeds delta facts through these).  ``emit``
     receives the register file with every head variable written;
     :meth:`make_delta_emit` / :meth:`make_round_emit` build the two
     sinks the engine uses.
@@ -155,8 +156,8 @@ class CompiledRule:
         return emit
 
     def make_round_emit(self, facts, fresh, seen, guard):
-        """Sink for the compiled semi-naive driver: deduplicate against
-        the live state and the current round, collect the survivors.
+        """Sink for the semi-naive driver: deduplicate against the live
+        state and the current round, collect the survivors.
 
         ``seen`` maps head predicate → values emitted this round; the
         dedup probes run on the *value* (whose hash is cached) and the

@@ -19,7 +19,10 @@ positive association heads, no oid invention, no active-domain
 variables and no data-function reads, and whose negated literals read
 only predicates the stratum does not define: each iteration only
 re-joins rule bodies through the facts that are new since the previous
-iteration.  The negated predicates are complete in lower strata, so the
+iteration.  One driver runs every such scope; within it each rule
+runs its compiled body (:mod:`repro.engine.compile`) when the planner
+built one and the generic body evaluator otherwise, in the same
+rounds.  The negated predicates are complete in lower strata, so the
 rounds compute the same fixpoint, in the same number of iterations, as
 the inflationary operator (property-tested against the reference
 kernel, which keeps the general path in every stratum).  Under
@@ -59,12 +62,11 @@ from repro.engine.guards import ResourceGuard
 from repro.engine.step import (
     InventionRegistry,
     RuleRuntime,
-    StepDeltas,
     apply_deltas,
     apply_deltas_inplace,
     compute_deltas,
     evaluate_body,
-    process_head,
+    make_round_emit,
 )
 from repro.engine.valuation import MatchContext, match_fact
 from repro.testing.faults import FAULTS
@@ -116,12 +118,11 @@ class EvalConfig:
 
     ``plan`` runs the cost-based planner
     (:mod:`repro.engine.planner`) before each fixpoint scope: rule
-    bodies are reordered from live index statistics and, for rules in
-    the compilable fragment, specialized into closures
-    (:mod:`repro.engine.compile`) that take over once the rule's
-    observed work reaches ``compile_threshold`` body valuations
-    (``0`` = immediately).  ``plan=False`` restores the dynamic greedy
-    scheduler everywhere.
+    bodies are reordered from live index statistics and, on the
+    incremental kernel, rules in the compilable fragment are
+    specialized into closures (:mod:`repro.engine.compile`) that run
+    from their first valuation.  ``plan=False`` restores the dynamic
+    greedy scheduler everywhere.
     """
 
     max_iterations: int = 10_000
@@ -131,7 +132,6 @@ class EvalConfig:
     use_indexes: bool = True
     incremental: bool = True
     plan: bool = True
-    compile_threshold: int = 64
     guard: ResourceGuard | None = None
 
 
@@ -359,9 +359,12 @@ class Engine:
     ) -> None:
         """Plan one fixpoint scope and arm the runtimes.
 
-        Compiled bodies are only built when they can legally run:
-        uninstrumented (events must observe every valuation) and with
-        indexes on (the closures bind index lookups directly).
+        Compiled bodies are built only where they can legally run, and
+        then run from the rule's first valuation: on the incremental
+        kernel (the reference kernel, ``incremental=False``, stays the
+        generic executable specification), uninstrumented (events must
+        observe every valuation) and with indexes on (the closures bind
+        index lookups directly).
         """
         cfg = self.config
         if not cfg.plan or not rules:
@@ -374,25 +377,14 @@ class Engine:
                           semantics=semantics.value, stratum=stratum,
                           program_inventors=self._inventors)
         self.plans.append(plan)
-        compiling = cfg.use_indexes and not obs.enabled
+        compiling = cfg.incremental and cfg.use_indexes and \
+            not obs.enabled
         for runtime, rule_plan in zip(rules, plan.rules):
             runtime.plan = rule_plan
-            runtime.work = 0
-            runtime.hot = False
-            runtime.threshold = cfg.compile_threshold
             runtime.compiled = None
             if compiling and rule_plan.order is not None:
                 runtime.compiled = compile_rule(runtime, rule_plan,
                                                 self.schema)
-                if runtime.compiled is not None and (
-                    cfg.compile_threshold <= 0
-                    # cost-based pre-arming: the plan already predicts
-                    # the body's valuation count, so a rule expected to
-                    # cross the threshold starts hot instead of paying
-                    # generic rounds first
-                    or rule_plan.cost >= cfg.compile_threshold
-                ):
-                    runtime.hot = True
         if obs.enabled:
             obs.plan_chosen(plan)
         else:
@@ -712,215 +704,104 @@ class Engine:
         rules: list[RuleRuntime],
         delta: FactSet | None = None,
     ) -> FactSet:
-        """Semi-naive rounds to the fixpoint.  ``delta=None`` starts
-        from the EDB ``facts`` with the initial round; a given
-        ``delta`` continues a fixpoint that ``facts`` already holds
-        (plus the ``delta`` facts), straight from the delta rounds."""
+        """Semi-naive rounds to the fixpoint.
+
+        Each rule runs its compiled body when it has one and the generic
+        body evaluator otherwise, in the same rounds.  Every delta fact
+        goes to the seed handlers registered for its predicate: a
+        compiled rule's seed chains, or a generic seed per positive body
+        literal (:func:`_generic_seed`).  Every head fact emitted goes to
+        one per-round collector, which drops facts already live or
+        already emitted this round; the survivors join the state at
+        round end and are the next round's delta.
+
+        ``delta=None`` starts from the EDB ``facts`` with the initial
+        round, every body evaluated in full; a given ``delta`` continues
+        a fixpoint that ``facts`` already holds (plus the ``delta``
+        facts), straight from the delta rounds.  ``incremental=False``
+        keeps the copy-per-round reference mode: each round composes a
+        new state instead of adding to the live one.
+        """
         cfg = self.config
         guard = cfg.guard
         incremental = cfg.incremental
         # the iteration budget is per scope, as on the general path
         start = self.stats.iterations
-        inventions = InventionRegistry(self.oidgen)  # unused but uniform
         obs = NULL_INSTRUMENTATION  # semi-naive only runs uninstrumented
-        if delta is not None:
-            ctx = MatchContext(facts, self.schema, cfg.use_indexes)
-            live = facts.count()
-            domains = ActiveDomains(facts, self.schema)
-            self.stats.facts_derived = live
-        elif (
-            cfg.plan and cfg.use_indexes and rules
-            and all(r.compiled is not None and r.hot for r in rules)
-        ):
-            # every rule pre-armed hot: the whole fixpoint, initial
-            # round included, runs on the compiled driver
-            return self._run_seminaive_compiled(facts, rules, None,
-                                                facts.count(), start)
-        else:
-            # initial round: fact rules and rules over the EDB
-            self._guard_boundary(guard, facts, facts.count(), 0)
+        # per rule: its compiled body (or None) and its seeds, one per
+        # positive body literal, as (predicate, seed)
+        bodies = []
+        for runtime in rules:
+            compiled = runtime.compiled
+            if compiled is not None:
+                seeds = [(pred, compiled.seed_chains[pos])
+                         for pos, pred in compiled.seed_specs]
+            else:
+                seeds = [
+                    (literal.pred.lower(), _generic_seed(runtime, pos))
+                    for pos, literal in enumerate(runtime.rule.body)
+                    if isinstance(literal, Literal) and not literal.negated
+                ]
+            bodies.append((runtime, compiled, seeds))
+        ctx = MatchContext(facts, self.schema, cfg.use_indexes)
+        domains = ActiveDomains(facts, self.schema)
+        live = facts.count()
+        self.stats.facts_derived = live
+        pending = None if delta is None else list(delta.facts())
+        while pending is None or pending:
+            self._guard_boundary(guard, facts, live, 0)
             with self._iteration(obs):
-                ctx = MatchContext(facts, self.schema, cfg.use_indexes)
-                first = compute_deltas(rules, ctx, inventions, guard=guard)
-                if incremental:
-                    # one working fact set, mutated in place; the net
-                    # change is exactly the facts the EDB did not
-                    # already contain, so round 2 never re-joins the
-                    # whole EDB.
-                    net = apply_deltas_inplace(facts, first)
-                    delta = FactSet.from_facts(net.added)
+                if pending is not None and \
+                        self.stats.iterations - start > cfg.max_iterations:
+                    raise NonTerminationError(
+                        f"no fixpoint after {cfg.max_iterations}"
+                        f" iterations",
+                        self.stats.iterations,
+                        stats=self.stats,
+                    )
+                fresh: list[Fact] = []
+                seen: dict[str, set] = {}
+                emits = [
+                    compiled.make_round_emit(facts, fresh, seen, guard)
+                    if compiled is not None
+                    else make_round_emit(runtime, ctx, fresh, seen, guard)
+                    for runtime, compiled, _ in bodies
+                ]
+                if pending is None:
+                    # initial round: fact rules and rules over the EDB
+                    for (runtime, compiled, _), emit in zip(bodies, emits):
+                        if compiled is not None:
+                            compiled.run_full(ctx, emit)
+                            continue
+                        for bindings in evaluate_body(runtime, ctx,
+                                                      domains):
+                            emit(bindings)
                 else:
-                    edb = facts
-                    facts = apply_deltas(facts, first)
-                    # seed with the *net-new* facts only; ``first.plus``
-                    # may repeat EDB facts, which round 2 would
-                    # pointlessly re-join.
-                    delta = first.plus.minus(edb)
+                    # handler = (seed, state, emit), called as
+                    # seed(fact, state, ctx, emit): a compiled seed
+                    # chain's state is its register file, a generic
+                    # seed's the active domains
+                    dispatch: dict[str, list] = {}
+                    for (_, compiled, seeds), emit in zip(bodies, emits):
+                        state = compiled.regs if compiled is not None \
+                            else domains
+                        for pred, seed in seeds:
+                            dispatch.setdefault(pred, []).append(
+                                (seed, state, emit))
+                    for fact in pending:
+                        handlers = dispatch.get(fact.pred)
+                        if handlers is None:
+                            continue
+                        for seed, state, emit in handlers:
+                            seed(fact, state, ctx, emit)
+                if incremental:
+                    for fact in fresh:
+                        facts.add(fact)
+                    domains.invalidate(seen)
+                else:
+                    facts = facts.compose(FactSet.from_facts(fresh))
                     ctx = MatchContext(facts, self.schema, cfg.use_indexes)
-                live = facts.count()
-                domains = ActiveDomains(facts, self.schema)
-                self.stats.facts_derived = live
-        compilable = bool(
-            cfg.plan and cfg.use_indexes and rules
-            and all(r.compiled is not None for r in rules)
-        )
-        while delta.count():
-            if compilable and all(r.hot for r in rules):
-                # every rule crossed the work threshold: hand the rest
-                # of the fixpoint to the compiled driver
-                return self._run_seminaive_compiled(facts, rules, delta,
-                                                    live, start)
-            self._guard_boundary(guard, facts, live, 0)
-            with self._iteration(obs):
-                if self.stats.iterations - start > cfg.max_iterations:
-                    raise NonTerminationError(
-                        f"no fixpoint after {cfg.max_iterations}"
-                        f" iterations",
-                        self.stats.iterations,
-                        stats=self.stats,
-                    )
-                if not incremental:
-                    ctx = MatchContext(facts, self.schema,
-                                       cfg.use_indexes)
                     domains = ActiveDomains(facts, self.schema)
-                round_delta = StepDeltas()
-                for runtime in rules:
-                    body = list(runtime.rule.body)
-                    rule_plan = runtime.plan
-                    positions = [
-                        i for i, l in enumerate(body)
-                        if isinstance(l, Literal) and delta.count(l.pred)
-                    ]
-                    valuations = 0
-                    for pos in positions:
-                        literal = body[pos]
-                        rest_order = (
-                            rule_plan.delta_orders.get(pos)
-                            if rule_plan is not None else None
-                        )
-                        if rest_order is not None:
-                            rest = tuple(body[i] for i in rest_order)
-                            ordered = True
-                        else:
-                            rest = tuple(body[:pos] + body[pos + 1:])
-                            ordered = False
-                        for fact in delta.facts_of(literal.pred):
-                            seed = match_fact(literal.args, fact, {}, ctx)
-                            if seed is None:
-                                continue
-                            for bindings in evaluate_body(
-                                runtime, ctx, domains, seed=seed,
-                                body=rest, ordered=ordered
-                            ):
-                                valuations += 1
-                                process_head(
-                                    runtime, bindings, ctx, round_delta,
-                                    inventions, guard=guard,
-                                )
-                    if runtime.compiled is not None:
-                        runtime.note_work(valuations)
-                if incremental:
-                    # in-place union: `add` reports exactly the fresh
-                    # facts
-                    fresh = FactSet.from_facts(
-                        f for f in round_delta.plus.facts()
-                        if facts.add(f)
-                    )
-                    live += fresh.count()
-                    domains.invalidate(fresh.predicates())
-                else:
-                    fresh = round_delta.plus.minus(facts)
-                    facts = facts.compose(fresh)
-                    live = facts.count()
-                delta = fresh
-                self.stats.facts_derived = live
-            if live > cfg.max_facts:
-                raise NonTerminationError(
-                    f"fact budget exceeded ({live} facts)",
-                    self.stats.iterations,
-                    stats=self.stats,
-                )
-        return facts
-
-    def _run_seminaive_compiled(
-        self,
-        facts: FactSet,
-        rules: list[RuleRuntime],
-        delta: FactSet | None,
-        live: int,
-        start: int,
-    ) -> FactSet:
-        """Semi-naive rounds driven entirely by compiled rule bodies.
-
-        Plain per-round lists replace the per-round ``StepDeltas`` /
-        ``FactSet`` churn of the generic loop: each delta fact is pushed
-        through every seed chain registered for its predicate, emitted
-        facts are deduplicated against the live state and the current
-        round, and the survivors become the next round's delta.  Same
-        fixpoint, same iteration count, same budget checks.
-
-        ``delta=None`` means the initial round has not run yet: the
-        full body chains evaluate once over the EDB and their net-new
-        facts seed the delta rounds.  ``start`` is the iteration count
-        at which the scope began; its budget counts from there.
-        """
-        cfg = self.config
-        guard = cfg.guard
-        obs = NULL_INSTRUMENTATION
-        ctx = MatchContext(facts, self.schema, True)
-        if delta is None:
-            self._guard_boundary(guard, facts, live, 0)
-            with self._iteration(obs):
-                fresh: list = []
-                seen: dict[str, set] = {}
-                for runtime in rules:
-                    compiled = runtime.compiled
-                    compiled.run_full(ctx, compiled.make_round_emit(
-                        facts, fresh, seen, guard
-                    ))
-                for fact in fresh:
-                    facts.add(fact)
-                live += len(fresh)
-                self.stats.facts_derived = live
-                pending = fresh
-            if live > cfg.max_facts:
-                raise NonTerminationError(
-                    f"fact budget exceeded ({live} facts)",
-                    self.stats.iterations,
-                    stats=self.stats,
-                )
-        else:
-            pending = list(delta.facts())
-        while pending:
-            self._guard_boundary(guard, facts, live, 0)
-            with self._iteration(obs):
-                if self.stats.iterations - start > cfg.max_iterations:
-                    raise NonTerminationError(
-                        f"no fixpoint after {cfg.max_iterations}"
-                        f" iterations",
-                        self.stats.iterations,
-                        stats=self.stats,
-                    )
-                fresh: list = []
-                seen: dict[str, set] = {}
-                dispatch: dict[str, list] = {}
-                for runtime in rules:
-                    compiled = runtime.compiled
-                    emit = compiled.make_round_emit(facts, fresh, seen,
-                                                    guard)
-                    for pos, pred in compiled.seed_specs:
-                        dispatch.setdefault(pred, []).append(
-                            (compiled.seed_chains[pos], compiled.regs,
-                             emit)
-                        )
-                for fact in pending:
-                    handlers = dispatch.get(fact.pred)
-                    if handlers is None:
-                        continue
-                    for seed_chain, regs, emit in handlers:
-                        seed_chain(fact, regs, ctx, emit)
-                for fact in fresh:
-                    facts.add(fact)
                 live += len(fresh)
                 self.stats.facts_derived = live
                 pending = fresh
@@ -994,6 +875,32 @@ class Engine:
             self.stats.iterations,
             stats=self.stats,
         )
+
+
+def _generic_seed(runtime: RuleRuntime, pos: int):
+    """The semi-naive seed of an uncompiled rule at body position
+    ``pos``: ``seed(fact, domains, ctx, emit)`` matches the delta fact
+    against the literal there and emits every valuation of the rest of
+    the body, in the plan's delta order when it has one."""
+    body = tuple(runtime.rule.body)
+    args = body[pos].args
+    plan = runtime.plan
+    rest_order = plan.delta_orders.get(pos) if plan is not None else None
+    if rest_order is not None:
+        rest = tuple(body[i] for i in rest_order)
+    else:
+        rest = body[:pos] + body[pos + 1:]
+    ordered = rest_order is not None
+
+    def seed(fact, domains, ctx, emit):
+        bindings = match_fact(args, fact, {}, ctx)
+        if bindings is None:
+            return
+        for valuation in evaluate_body(runtime, ctx, domains,
+                                       seed=bindings, body=rest,
+                                       ordered=ordered):
+            emit(valuation)
+    return seed
 
 
 def _function_preds(term) -> set[str]:

@@ -52,10 +52,10 @@ class RuleRuntime:
 
     The planner attaches per-run evaluation state: ``plan`` (a
     :class:`~repro.engine.planner.RulePlan` whose literal order the body
-    evaluator follows), ``compiled`` (a
+    evaluator follows) and ``compiled`` (a
     :class:`~repro.engine.compile.CompiledRule`, when the rule is in
-    the compilable fragment) and the work accounting that decides when
-    the compiled body takes over (``EvalConfig.compile_threshold``).
+    the compilable fragment), which replaces the generic body evaluator
+    from the rule's first valuation.
     """
 
     index: int
@@ -64,17 +64,6 @@ class RuleRuntime:
     varinfo: dict[Var, VarInfo]
     plan: object | None = None
     compiled: object | None = None
-    hot: bool = False
-    threshold: int = 0
-    work: int = 0
-
-    def note_work(self, valuations: int) -> None:
-        """Fire-count feedback: once a rule has produced enough body
-        valuations, its compiled form (if any) becomes active."""
-        self.work += valuations
-        if not self.hot and self.compiled is not None and \
-                self.work >= self.threshold:
-            self.hot = True
 
 
 class InventionRegistry:
@@ -773,6 +762,32 @@ def _derive_tuple(
     return [fact]
 
 
+def make_round_emit(runtime, ctx, fresh, seen, guard):
+    """Sink for an uncompiled rule in the semi-naive driver, mirroring
+    :meth:`repro.engine.compile.CompiledRule.make_round_emit`: each body
+    valuation's head fact (a positive association) joins ``fresh``
+    unless the live state or this round already has it.  ``seen`` maps
+    head predicate → values emitted this round, shared with the
+    compiled rules' sinks."""
+    head = runtime.rule.head
+    pred = head.pred
+    facts = ctx.facts
+    seen_values = seen.setdefault(pred, set())
+
+    def emit(bindings):
+        value = _head_attributes(head, bindings, ctx)
+        if guard is not None:
+            guard.check_fact_size(pred, value)
+        if value in seen_values:
+            return
+        fact = Fact(pred, value)
+        if fact in facts:
+            return
+        seen_values.add(value)
+        fresh.append(fact)
+    return emit
+
+
 def _delete_tuples(
     head: Literal, bindings: Bindings, ctx: MatchContext, deltas: StepDeltas
 ) -> list[Fact]:
@@ -822,21 +837,17 @@ def compute_deltas(
         for runtime in runtimes:
             if runtime.rule.head is None:
                 continue  # denials: evaluated by the consistency checker
-            if runtime.hot and ctx.use_indexes:
+            compiled = runtime.compiled
+            if compiled is not None:
                 # compiled fast path: the closure chain derives the same
                 # ground facts as evaluate_body + process_head
-                emit = runtime.compiled.make_delta_emit(
+                compiled.run_full(ctx, compiled.make_delta_emit(
                     ctx, deltas, guard, skip_satisfied
-                )
-                runtime.compiled.run_full(ctx, emit)
+                ))
                 continue
-            valuations = 0
             for bindings in evaluate_body(runtime, ctx, domains):
-                valuations += 1
                 process_head(runtime, bindings, ctx, deltas, inventions,
                              skip_satisfied, guard=guard)
-            if runtime.compiled is not None:
-                runtime.note_work(valuations)
         return deltas
     clock = time.perf_counter
     for runtime in runtimes:

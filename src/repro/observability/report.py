@@ -43,7 +43,7 @@ class RunReport:
     rules: list[dict] = field(default_factory=list)
     phases: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
-    #: the active EvalConfig switches (kernel/plan/threshold/seminaive)
+    #: the active EvalConfig switches (kernel/plan/seminaive/use_indexes)
     config: dict = field(default_factory=dict)
     #: planner output, one dict per fixpoint scope (empty when plan=off)
     plans: list[dict] = field(default_factory=list)
@@ -184,7 +184,6 @@ def build_run_report(
         config={
             "kernel": kernel,
             "plan": engine.config.plan,
-            "compile_threshold": engine.config.compile_threshold,
             "seminaive": engine.config.seminaive,
             "use_indexes": engine.config.use_indexes,
         },
@@ -207,7 +206,7 @@ def report_program(
 
     ``kernel`` names the configuration in the report; when omitted it is
     derived from ``config.incremental`` (the bench matrix passes its
-    cell's kernel name — ``planned``, ``compiled`` — explicitly).
+    cell's kernel name — ``compiled`` — explicitly).
     """
     from repro.engine import Engine, Semantics
     from repro.observability.instrument import Instrumentation

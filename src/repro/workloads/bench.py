@@ -38,14 +38,14 @@ from repro.workloads.families import (
     resolve_scale,
 )
 
-#: the four kernel configurations of the matrix, in maturity order:
+#: the three kernel configurations of the matrix, in maturity order:
 #: the copy-per-iteration executable specification, the in-place O(|Δ|)
-#: kernel, the cost-based planner on top, and eager body compilation
+#: kernel with the dynamic scheduler, and the default — the cost-based
+#: planner with compiled rule bodies
 KERNELS: dict[str, dict] = {
     "reference": {"incremental": False, "plan": False},
     "incremental": {"plan": False},
-    "planned": {"plan": True, "compile_threshold": 1 << 30},
-    "compiled": {"plan": True, "compile_threshold": 0},
+    "compiled": {"plan": True},
 }
 
 DEFAULT_REPS = 3
@@ -90,7 +90,6 @@ def cell_config(kernel: str, semantics, seed: int) -> dict:
         "seed": seed,
         "incremental": cfg.incremental,
         "plan": cfg.plan,
-        "compile_threshold": cfg.compile_threshold,
         "seminaive": cfg.seminaive,
         "use_indexes": cfg.use_indexes,
     }

@@ -46,8 +46,7 @@ class TestBenchCommand:
                       "--scales", "30", "50") == 0
         rows, _ = read_bench_rows(tmp_path / "BENCH_genealogy.json")
         kernels = {r["config"]["kernel"] for r in rows}
-        assert kernels == {"reference", "incremental", "planned",
-                           "compiled"}
+        assert kernels == {"reference", "incremental", "compiled"}
         assert {r["name"] for r in rows} == \
             {"genealogy[30]", "genealogy[50]"}
 

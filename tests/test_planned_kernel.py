@@ -2,9 +2,9 @@
 
 ``EvalConfig(plan=True)`` reorders rule bodies from live statistics and,
 for rules in the compilable fragment, replaces the generic matcher with
-specialized closures (:mod:`repro.engine.compile`);
-``compile_threshold=0`` forces the compiled path from the first round.
-These tests pin the planned/compiled engine to the unplanned reference:
+specialized closures (:mod:`repro.engine.compile`) from the rule's first
+valuation.  These tests pin the planned/compiled engine to the unplanned
+reference:
 
 * 100 randomized flat rule programs (joins, recursion, filters,
   arithmetic, negation, deletion heads — the same generator the
@@ -13,14 +13,17 @@ These tests pin the planned/compiled engine to the unplanned reference:
   semantics, with identical failure behaviour;
 * stratified negation programs must agree stratum by stratum;
 * oid invention feeding other rule *bodies* must be isomorphic
-  (numbering may depend on enumeration order).
+  (numbering may depend on enumeration order);
+* the reference kernel (``incremental=False``) plans but never runs a
+  compiled body, so it stays an independent specification.
 """
 
 import random
 
 import pytest
 
-from repro import Engine, EvalConfig, Semantics, parse_source
+from repro import Engine, EvalConfig, FactSet, Semantics, parse_source
+from repro.cli import main
 from repro.errors import LogresError
 from tests.test_incremental_kernel import (
     MAX_ITERATIONS,
@@ -37,12 +40,11 @@ ALL_SEMANTICS = (
 )
 
 
-def outcome(schema, program, edb, semantics, plan, threshold=0):
+def outcome(schema, program, edb, semantics, plan):
     config = EvalConfig(
         max_iterations=MAX_ITERATIONS,
         max_facts=50_000,
         plan=plan,
-        compile_threshold=threshold,
     )
     engine = Engine(schema, program, config)
     try:
@@ -64,23 +66,6 @@ def test_planned_matches_reference(seed):
         assert planned[0] == reference[0], \
             (semantics, source, planned, reference)
         assert planned[1] == reference[1], (semantics, source)
-
-
-@pytest.mark.parametrize("seed", range(0, 100, 7))
-def test_default_threshold_matches_reference(seed):
-    """The lazy arming path (generic rounds first, closures once the
-    rule crosses the threshold) must agree too — it switches drivers
-    mid-fixpoint."""
-    rng = random.Random(seed)
-    source = random_program(rng)
-    unit = parse_source(source)
-    schema, program = unit.schema(), unit.program()
-    edb = random_edb(rng)
-    for semantics in ALL_SEMANTICS:
-        lazy = outcome(schema, program, edb, semantics, plan=True,
-                       threshold=8)
-        reference = outcome(schema, program, edb, semantics, plan=False)
-        assert lazy == reference, (semantics, source)
 
 
 STRATIFIED_SOURCE = """
@@ -140,3 +125,49 @@ def test_invention_in_body_isomorphic(seed):
         f.value for f in reference[1].facts() if f.pred == "named"
     }
     assert named_planned == named_reference
+
+
+CHAIN_SOURCE = """
+associations
+  e = (a: string, b: string).
+  tc = (a: string, b: string).
+rules
+""" + "".join(f'  e(a "n{i}", b "n{i + 1}").\n' for i in range(6)) + """
+  tc(a X, b Y) <- e(a X, b Y).
+  tc(a X, b Z) <- e(a X, b Y), tc(a Y, b Z).
+"""
+
+
+def refuse_compiling(monkeypatch):
+    def compile_rule(*args, **kwargs):
+        raise AssertionError("the reference kernel compiled a rule body")
+    monkeypatch.setattr("repro.engine.compile.compile_rule", compile_rule)
+
+
+@pytest.mark.parametrize("semantics", ALL_SEMANTICS,
+                         ids=lambda s: s.value)
+def test_the_reference_kernel_runs_no_compiled_body(semantics,
+                                                    monkeypatch):
+    """``incremental=False`` keeps ``plan`` on but compiles nothing: the
+    copying kernel is the generic specification the compiled bodies
+    are checked against."""
+    unit = parse_source(CHAIN_SOURCE)
+    schema, program = unit.schema(), unit.program()
+    default = Engine(schema, program)
+    want = default.run(FactSet(), semantics)
+    assert any(r.compiled is not None for r in default.runtimes)
+    assert want.count("tc") == 6 * 7 // 2
+    refuse_compiling(monkeypatch)
+    reference = Engine(schema, program, EvalConfig(incremental=False))
+    assert reference.run(FactSet(), semantics) == want
+
+
+def test_repro_run_reference_compiles_nothing(tmp_path, capsys,
+                                              monkeypatch):
+    path = tmp_path / "chain.lg"
+    path.write_text(CHAIN_SOURCE)
+    assert main(["run", str(path)]) == 0
+    want = capsys.readouterr().out
+    refuse_compiling(monkeypatch)
+    assert main(["run", str(path), "--reference"]) == 0
+    assert capsys.readouterr().out == want

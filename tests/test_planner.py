@@ -129,7 +129,7 @@ rules
 
 def test_engine_records_plans_and_run_uses_them():
     schema, program = _unit(TC_SOURCE)
-    engine = Engine(schema, program, EvalConfig(compile_threshold=0))
+    engine = Engine(schema, program, EvalConfig())
     edb = _edges("e", [(f"n{i}", f"n{i+1}") for i in range(5)])
     out = engine.run(edb)
     assert out.count("tc") == 5 + 4 + 3 + 2 + 1
