@@ -51,7 +51,9 @@ can be supplied with ``--state state.json`` (see ``Database.save``).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+from contextlib import contextmanager
 
 from repro.analysis import Diagnostic, Severity, diagnostics_to_json
 from repro.analysis.interference import DEFAULT_MAX_PAIRS
@@ -110,13 +112,53 @@ def _eval_config(args) -> EvalConfig:
     )
 
 
+def _write_block(header: str, lines) -> None:
+    """Write ``header`` and then each of ``lines`` indented by two
+    spaces, one line per ``write``: the bytes a ``print`` per line
+    writes, without its per-call overhead.  ``sys.stdout`` is looked up
+    here, so a redirected or captured stream sees the output."""
+    write = sys.stdout.write
+    write(f"{header}\n")
+    for line in lines:
+        write(f"  {line}\n")
+
+
 def _print_instance(instance: FactSet) -> None:
+    """Every user predicate's facts, sorted by their rendering.
+
+    Each fact is formatted once: sorting the ``repr`` strings orders the
+    lines exactly as sorting the facts by ``key=repr`` does, since equal
+    keys are identical lines."""
     for pred in instance.predicates():
         if pred.startswith("__"):
             continue
-        print(f"{pred} ({instance.count(pred)}):")
-        for fact in sorted(instance.facts_of(pred), key=repr):
-            print(f"  {fact!r}")
+        _write_block(f"{pred} ({instance.count(pred)}):",
+                     sorted(instance.reprs_of(pred)))
+
+
+def _print_answers(answers: list[dict]) -> None:
+    """A goal's answers, one ``Var = value, ...`` line each, in order."""
+    _write_block(f"{len(answers)} answer(s):", (
+        ", ".join(f"{k} = {v!r}" for k, v in sorted(answer.items()))
+        for answer in answers
+    ))
+
+
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector for one batch evaluation.
+
+    The fixpoint allocates many small acyclic objects, so the collector's
+    generation-0 passes find nothing to free while reference counting
+    frees whatever the engine drops.  The collector is re-enabled on the
+    way out only if it was enabled on the way in."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _jsonl_sink(path: str, source_file: str | None, header: bool = True):
@@ -231,6 +273,13 @@ def _run_instrumentation(args):
 
 def cmd_run(args) -> int:
     schema, program, edb = _load_unit(args.file, args.state)
+    with _cyclic_gc_paused():
+        return _run_loaded(args, schema, program, edb)
+
+
+def _run_loaded(args, schema, program, edb) -> int:
+    """``repro run`` after loading: evaluate, write the optional reports,
+    print the instance or the goal's answers and the stats line."""
     obs, finish = _run_instrumentation(args)
     engine = Engine(schema, program, _eval_config(args),
                     instrumentation=obs)
@@ -256,13 +305,7 @@ def cmd_run(args) -> int:
         write_chrome_trace(obs.timer.to_dict(), args.chrome_out,
                            process_name=args.file)
     if program.goal is not None:
-        answers = answer_goal(program.goal, instance, schema)
-        print(f"{len(answers)} answer(s):")
-        for answer in answers:
-            rendered = ", ".join(
-                f"{k} = {v!r}" for k, v in sorted(answer.items())
-            )
-            print(f"  {rendered}")
+        _print_answers(answer_goal(program.goal, instance, schema))
     else:
         _print_instance(instance)
     stats = engine.stats

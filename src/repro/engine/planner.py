@@ -390,7 +390,9 @@ def _order_body(
 
     Negations and built-ins run at their earliest legal position (they
     only filter or bind cheaply); among schedulable positive literals
-    the cheapest access path wins, ties resolved by textual order.
+    one that shares a bound variable always beats one that shares none
+    (a cross product), then the cheapest access path wins, ties
+    resolved by textual order.
     Returns (order, steps, cost, fallback_reason).
     """
     pending = list(range(len(body)))
@@ -420,9 +422,10 @@ def _order_body(
                 if not _positive_schedulable(lit, bound):
                     continue
                 access, est = _access_path(lit, bound, stats)
-                if best is None or est < best[3]:
-                    best = (pos, "literal", access, est)
-            chosen = best
+                key = (bound.isdisjoint(lit.variables()), est)
+                if best is None or key < best[0]:
+                    best = (key, (pos, "literal", access, est))
+            chosen = None if best is None else best[1]
         if chosen is None:
             stuck = ", ".join(render(body[p]) for p in pending)
             return None, steps, cost, f"unschedulable: {stuck}"

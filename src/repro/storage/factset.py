@@ -43,12 +43,16 @@ class Fact:
         return self.oid is not None
 
     def __repr__(self) -> str:
-        if self.oid is not None:
-            inner = ", ".join(f"{k}: {v!r}" for k, v in self.value.items)
-            sep = ", " if inner else ""
-            return f"{self.pred}(self {self.oid!r}{sep}{inner})"
-        inner = ", ".join(f"{k}: {v!r}" for k, v in self.value.items)
-        return f"{self.pred}({inner})"
+        return _render_fact(self.pred, self.value, self.oid)
+
+
+def _render_fact(pred: str, value: TupleValue, oid: Oid | None = None) -> str:
+    """A fact's ``repr``: ``pred(l: v, ...)`` or ``pred(self &n, ...)``."""
+    inner = ", ".join([f"{k}: {v!r}" for k, v in value.items])
+    if oid is None:
+        return f"{pred}({inner})"
+    sep = ", " if inner else ""
+    return f"{pred}(self {oid!r}{sep}{inner})"
 
 
 class FactSet:
@@ -267,6 +271,16 @@ class FactSet:
                 yield Fact(pred, value, oid)
         for value in self._assoc.get(pred, ()):
             yield Fact(pred, value)
+
+    def reprs_of(self, pred: str) -> list[str]:
+        """The ``repr`` of every fact of ``pred``, built without the
+        :class:`Fact` objects (the batch CLI renders whole instances)."""
+        pred = pred.lower()
+        table = self._class.get(pred, {})
+        return [_render_fact(pred, value, oid)
+                for oid, value in table.items()] + [
+            _render_fact(pred, value) for value in self._assoc.get(pred, ())
+        ]
 
     def facts(self) -> Iterator[Fact]:
         for pred in list(self._class) + list(self._assoc):

@@ -11,6 +11,7 @@ single-optimizer identity.
 
 from repro import Engine, EvalConfig, FactSet, Semantics, parse_source
 from repro.engine.planner import Stats, build_plan, static_literal_order
+from repro.language.ast import Literal
 from repro.storage.factset import Fact
 from repro.values.complex import TupleValue
 
@@ -196,6 +197,70 @@ def test_derivable_predicates_floored_not_preferred():
     assert stats.card("tc") == stats.card("e") == 10.0
     (plan,) = engine.explain_plan(edb)
     assert plan.rules[1].steps[0].text.startswith("e(")
+
+
+def _unconnected_steps(body, order, bound=()):
+    """Positive literals of ``order`` that share no variable with the
+    variables bound before them (``bound`` plus the earlier literals')."""
+    bound = set(bound)
+    loose = []
+    for pos in order:
+        lit = body[pos]
+        variables = set(lit.variables())
+        if bound and isinstance(lit, Literal) and not lit.negated \
+                and bound.isdisjoint(variables):
+            loose.append(pos)
+        bound |= variables
+    return loose
+
+
+def test_connected_literal_beats_unconnected_scan():
+    # rbac's `can <- user_role, inherits, role_perm`: the empty-IDB
+    # floor ties the index probe of `inherits` on the role bound by
+    # `role_perm` with a scan of the unconnected `user_role`; the
+    # planner must not take the cross product, in the full order or in
+    # any semi-naive delta order
+    from repro.workloads.families import FAMILIES
+
+    schema, program, edb = FAMILIES["rbac"].build(400, 0)
+    engine = Engine(schema, program, EvalConfig())
+    bodies = {r.index: tuple(r.rule.body) for r in engine.runtimes}
+    for semantics in (Semantics.INFLATIONARY, Semantics.STRATIFIED):
+        for plan in engine.explain_plan(edb, semantics):
+            for rp in plan.rules:
+                body = bodies[rp.index]
+                assert _unconnected_steps(body, rp.order) == [], rp.label
+                for seed, order in rp.delta_orders.items():
+                    seeded = body[seed].variables()
+                    assert _unconnected_steps(body, order, seeded) == [], \
+                        (rp.label, seed)
+
+
+def test_connected_index_probe_preferred_over_cheaper_scan():
+    src = """
+associations
+  a = (x: string, y: string).
+  b = (y: string, z: string).
+  c = (w: string).
+  out = (x: string, w: string).
+rules
+  out(x X, w W) <- a(x X, y Y), c(w W), b(y Y, z Z).
+"""
+    schema, program = _unit(src)
+    engine = Engine(schema, program, EvalConfig())
+    edb = FactSet()
+    for i in range(5):
+        edb.add(Fact("a", TupleValue({"x": f"x{i}", "y": f"y{i % 2}"})))
+    for i in range(100):
+        edb.add(Fact("b", TupleValue({"y": f"y{i % 2}", "z": f"z{i}"})))
+    for i in range(10):
+        edb.add(Fact("c", TupleValue({"w": f"w{i}"})))
+    (plan,) = engine.explain_plan(edb)
+    steps = plan.rules[0].steps
+    # after `a`, scanning `c` (10) is cheaper than probing `b` on the
+    # bound y (50 per key), but `c` shares no variable: it runs last
+    assert [s.text.split("(")[0] for s in steps] == ["a", "b", "c"]
+    assert steps[1].access == "index:y" and steps[2].est < steps[1].est
 
 
 def test_static_literal_order_propagates_bindings():
