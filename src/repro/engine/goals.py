@@ -31,7 +31,9 @@ def answer_goal(
     Each answer maps variable names to values.  Variables bound to whole
     objects (tuple variables over classes) are reported as their attribute
     tuples with the hidden ``self`` oid removed; duplicate answers are
-    collapsed.
+    collapsed.  Answers come sorted by their variable names and value
+    ``repr``s, so their order never depends on set iteration order (and
+    so on the hash seed).
     """
     extended = schema_with_functions(schema)
     resolved = resolve_goal(goal, extended)
@@ -42,8 +44,7 @@ def answer_goal(
                           varinfo=varinfo)
     ctx = MatchContext(facts, extended)
     domains = ActiveDomains(facts, extended)
-    answers: list[dict[str, Value]] = []
-    seen: set[tuple] = set()
+    answers: dict[tuple, dict[str, Value]] = {}
     wanted = [v for v in resolved.variables()
               if not v.name.startswith("_G")]
     for bindings in evaluate_body(runtime, ctx, domains):
@@ -53,10 +54,8 @@ def answer_goal(
             if var in bindings
         }
         key = tuple(sorted((k, repr(v)) for k, v in answer.items()))
-        if key not in seen:
-            seen.add(key)
-            answers.append(answer)
-    return answers
+        answers.setdefault(key, answer)
+    return [answers[key] for key in sorted(answers)]
 
 
 def _present(value: Value) -> Value:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.observability.events import SCHEMA_VERSION, payload_header
@@ -124,15 +123,6 @@ def load_report(path) -> RunReport:
 def fingerprint(text: str) -> str:
     """Stable short hash of a canonical rendering."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def fingerprint_parts(parts: Iterable[str]) -> str:
-    """:func:`fingerprint` of the concatenated ``parts``, without
-    building the concatenation."""
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-    return digest.hexdigest()[:16]
 
 
 def build_run_report(

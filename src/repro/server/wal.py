@@ -21,6 +21,13 @@ re-executing each record (oid generation restored to the recorded
 position makes the replay bit-deterministic) and verifies the recorded
 post-state fingerprints.
 
+Record versions: a v2 record's ``post.edb`` is the additive EDB digest
+of :func:`repro.modules.txn.state_fingerprints`, which a write carries
+forward from its delta.  A v1 record's ``post.edb`` is the sorted-JSON
+hash of the whole EDB; replay still reads v1 records and checks them
+with that hash, while the digest chain carries on underneath, so a log
+may hold v1 records followed by v2 ones.  Any other version is refused.
+
 Every record line carries a sha256 checksum over its canonical body
 (the same scheme as the format-v2 snapshots).  Because appends are
 fsynced record-by-record, a crash can only tear the **final** line;
@@ -43,7 +50,10 @@ from repro.storage.persist import atomic_write_text, state_checksum
 from repro.testing.faults import FAULTS
 
 #: bump when a record field changes meaning; replay refuses the future
-WAL_VERSION = 1
+WAL_VERSION = 2
+
+#: every record version replay reads (v1: sorted-JSON ``post.edb``)
+READABLE_VERSIONS = (1, 2)
 
 
 def make_record(seq: int, kind: str, **fields) -> dict:
@@ -98,7 +108,10 @@ class WriteAheadLog:
         A torn or checksum-corrupt **final** line is the signature of a
         crash mid-append — that record was never acknowledged, so it is
         dropped.  The same damage anywhere earlier means the log itself
-        is corrupt and raises :class:`StorageError` (→ LG901).
+        is corrupt and raises :class:`StorageError` (→ LG901).  A
+        record of a version outside :data:`READABLE_VERSIONS` raises
+        wherever it stands: its checksum verified, so it was written
+        whole, and dropping it would lose an acknowledged write.
         """
         if not os.path.exists(self.path):
             return []
@@ -106,7 +119,7 @@ class WriteAheadLog:
             lines = [ln for ln in f.read().splitlines() if ln.strip()]
         records: list[dict] = []
         for index, line in enumerate(lines):
-            last = index == len(lines) - 1
+            torn = index == len(lines) - 1
             problem = None
             record = None
             try:
@@ -125,13 +138,14 @@ class WriteAheadLog:
                             f" (recorded {str(recorded)[:12]!r},"
                             f" computed {computed[:12]!r})"
                         )
-                    elif record.get("version") != WAL_VERSION:
+                    elif record.get("version") not in READABLE_VERSIONS:
+                        torn = False
                         problem = (
                             f"unsupported WAL record version"
                             f" {record.get('version')!r}"
                         )
             if problem is not None:
-                if last:
+                if torn:
                     # torn tail from a crash mid-append: the record was
                     # never acknowledged, dropping it is the correct
                     # recovery (docs/SERVE.md)

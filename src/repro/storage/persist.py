@@ -257,6 +257,11 @@ def encode_factset(facts: FactSet) -> Any:
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+def canonical_fact_text(fact: Fact) -> str:
+    """The canonical JSON of one :func:`encode_factset` entry."""
+    return _CANONICAL.encode(_fact_entry(fact))
+
+
 def canonical_fact_texts(facts: FactSet) -> list[str]:
     """The canonical JSON of each :func:`encode_factset` entry, in its
     order: ``"[" + ",".join(texts) + "]"`` is ``json.dumps(

@@ -12,10 +12,15 @@ of cyclic garbage, whatever its input size) is pinned here.
 import contextlib
 import gc
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import cli
 from repro.language.ast import Program
 from repro.storage import dump_state
@@ -178,6 +183,24 @@ class TestRunOutput:
         header, *lines = out.splitlines()
         assert header == f"{len(lines)} answer(s):"
         assert lines and all(line.startswith("  P = ") for line in lines)
+
+    def test_goal_answers_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Answers come from set iteration, whose order follows string
+        hashes; two processes under different hash seeds must still
+        print the same bytes."""
+        argv = _run_inputs(tmp_path, "rbac", 60,
+                           goal="goal\n  ?- can(user U, perm P).\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], env=env,
+                capture_output=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0].count(b"\n") > 20
+        assert outputs[0] == outputs[1]
 
 
 class TestGcPolicy:

@@ -1,10 +1,11 @@
 """The streamed state encodings equal the whole-tree ones they replace.
 
-``iter_state_text`` renders a state one EDB chunk at a time and
-``state_fingerprints`` hashes the EDB one fact at a time; both must
+``iter_state_text`` renders a state one EDB chunk at a time and the v1
+WAL EDB fingerprint hashes the EDB one fact at a time; both must
 produce exactly the text and hashes of encoding the whole JSON tree,
-because snapshots, WAL ``post`` fingerprints and checksums written by
-either must verify under the other.
+because snapshots, v1 WAL ``post`` fingerprints and checksums written
+by either must verify under the other.  The served write path hashes
+only each write's delta once the database is open.
 """
 
 import json
@@ -16,7 +17,11 @@ from repro import parse_source
 from repro.language.ast import Program
 from repro.modules.module import Mode
 from repro.modules.state import DatabaseState
-from repro.modules.txn import Savepoint, state_fingerprints
+from repro.modules.txn import (
+    Savepoint,
+    _v1_edb_fingerprint,
+    state_fingerprints,
+)
 from repro.observability.report import fingerprint
 from repro.server.registry import ManagedDatabase
 from repro.storage import FactSet, dumps_state, loads_state
@@ -107,7 +112,7 @@ def test_edb_fingerprint_equals_the_tree_hash(count):
     assert encode_factset(state.edb) == _tree_entries(state.edb)
     tree = fingerprint(json.dumps(_tree_entries(state.edb), sort_keys=True,
                                   separators=(",", ":")))
-    assert state_fingerprints(state)["edb"] == tree
+    assert _v1_edb_fingerprint(state.edb) == tree
 
 
 def test_atomic_write_takes_pieces(tmp_path):
@@ -140,28 +145,56 @@ def test_savepoint_takes_known_fingerprints():
 
 
 def test_a_write_hashes_the_edb_once(tmp_path, monkeypatch):
-    """After a commit the next write's savepoint reuses the committed
-    ``post`` fingerprints; only the new state is hashed."""
+    """``create`` and ``open`` hash the EDB in full once; after that a
+    write computes its fingerprints once, carried from the committed
+    ones, hashing only the facts it changed, and info reads hash
+    nothing."""
     import repro.modules.txn as txn
     import repro.server.registry as registry
 
     managed = ManagedDatabase("db", str(tmp_path))
     managed.create(SOURCE)
     calls = []
+    hashed = []
     real = txn.state_fingerprints
+    real_sum = txn._digest_sum
 
-    def counting(state):
-        calls.append(state)
-        return real(state)
+    def counting(state, prior=None):
+        calls.append((state, prior))
+        return real(state, prior)
+
+    def counting_sum(facts):
+        facts = list(facts)
+        hashed.extend(facts)
+        return real_sum(facts)
 
     monkeypatch.setattr(txn, "state_fingerprints", counting)
     monkeypatch.setattr(registry, "state_fingerprints", counting)
+    monkeypatch.setattr(txn, "_digest_sum", counting_sum)
     fact = 'rules\n  knows(a "{}", b "z").'
-    managed.apply(fact.format("first"), Mode.RIDV)
-    assert len(calls) == 2  # nothing known yet: savepoint + post
-    for name in ("second", "third"):
+
+    def write(name):
         calls.clear()
+        hashed.clear()
+        before = managed.db.state
         managed.apply(fact.format(name), Mode.RIDV)
-        assert calls == [managed.db.state]
+        assert [state for state, _ in calls] == [managed.db.state]
+        assert calls[0][1][0] is before  # carried, not from scratch
+        assert len(hashed) == 1  # the one inserted fact
+
+    for name in ("first", "second", "third"):
+        write(name)
+    calls.clear()
+    assert managed.fingerprints() == real(managed.db.state)
+    assert managed.info()["fingerprints"] == real(managed.db.state)
+    assert calls == []
+    managed.close()  # snapshot: the log is empty
+
+    reopened = ManagedDatabase("db", str(tmp_path))
+    hashed.clear()
+    reopened.open()
+    assert len(hashed) == managed.db.state.edb.count() == 3
+    managed = reopened
+    write("fourth")
     assert managed.fingerprints() == real(managed.db.state)
     managed.close()
