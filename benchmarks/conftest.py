@@ -14,7 +14,7 @@ in EXPERIMENTS.md.
 
 import pytest
 
-from repro import Engine, EvalConfig, Semantics, parse_source
+from repro import Engine, EvalConfig, ResourceGuard, Semantics, parse_source
 
 
 def build_unit(source):
@@ -37,24 +37,24 @@ def tc_unit():
     return build_unit(TC_SOURCE)
 
 
-def run_logres(schema, program, edb, seminaive=True,
-               semantics=Semantics.INFLATIONARY, max_facts=2_000_000,
-               plan=True):
+def run_logres(schema, program, edb, semantics=Semantics.INFLATIONARY,
+               plan=True, reference=False):
+    """One run on the default kernel, or on the reference kernel
+    (``EvalConfig(incremental=False)``) when ``reference`` is set."""
     engine = Engine(
         schema, program,
-        EvalConfig(seminaive=seminaive, max_facts=max_facts, plan=plan),
+        EvalConfig(incremental=not reference, plan=plan,
+                   guard=ResourceGuard(max_facts=2_000_000)),
     )
     return engine.run(edb, semantics)
 
 
-def eval_config_info(seminaive=True, plan=True):
+def eval_config_info(plan=True, reference=False):
     """The ``benchmark.extra_info["config"]`` payload: which engine
     configuration a row measured (recorded into ``BENCH_*.json``)."""
-    return {
-        "kernel": "incremental",
-        "seminaive": seminaive,
-        "plan": plan,
-    }
+    if reference:
+        return {"kernel": "reference", "plan": False}
+    return {"kernel": "incremental", "plan": plan}
 
 
 def pytest_sessionfinish(session, exitstatus):

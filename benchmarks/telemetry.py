@@ -167,10 +167,10 @@ def plan_gate_times(reps: int = 3) -> tuple[float, float]:
     on_times, off_times = [], []
     for _ in range(max(1, reps)):
         t0 = _time.perf_counter()
-        off = run_logres(schema, program, edb, True, plan=False)
+        off = run_logres(schema, program, edb, plan=False)
         off_times.append(_time.perf_counter() - t0)
         t0 = _time.perf_counter()
-        on = run_logres(schema, program, edb, True, plan=True)
+        on = run_logres(schema, program, edb, plan=True)
         on_times.append(_time.perf_counter() - t0)
         if on != off:
             raise AssertionError(
@@ -260,11 +260,11 @@ def telemetry_gate_times(
     # one untimed warmup: the first evaluation pays import, allocator
     # and index-build warmup that would otherwise land on the first
     # timed variant and skew the cheap uninstrumented measurement
-    run_logres(schema, program, edb, True, plan=True)
+    run_logres(schema, program, edb, plan=True)
     plain_times, sink_times, bus_times = [], [], []
     for _ in range(max(1, reps)):
         t0 = _time.perf_counter()
-        plain = run_logres(schema, program, edb, True, plan=True)
+        plain = run_logres(schema, program, edb, plan=True)
         plain_times.append(_time.perf_counter() - t0)
 
         sink_out = timed_sink()

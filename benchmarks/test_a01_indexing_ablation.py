@@ -1,9 +1,9 @@
 """A1 (ablation) — per-predicate hash indexes in the fact store.
 
 DESIGN.md calls out the indexed fact store (S8) as an engineering choice
-of the main-memory substrate; this ablation quantifies it.  The engine is
-run with index lookups enabled vs. disabled (full predicate scans) on
-join-heavy transitive closure.
+of the main-memory substrate; this ablation quantifies it.  The default
+kernel is run with index lookups enabled vs. disabled (full predicate
+scans) on join-heavy transitive closure.
 
 Expected shape: the gap widens super-linearly with database size, since
 each scan is linear in the predicate extension and joins multiply scans.
@@ -25,7 +25,7 @@ SIZES = [60, 120]
 def test_indexing(benchmark, edges, indexed):
     schema, program = build_unit(TC_SOURCE)
     edb = random_edges(edges // 2, edges, seed=31)
-    config = EvalConfig(seminaive=False, use_indexes=indexed)
+    config = EvalConfig(use_indexes=indexed)
 
     def run():
         return Engine(schema, program, config).run(edb)
@@ -37,8 +37,6 @@ def test_indexing(benchmark, edges, indexed):
 def test_both_configurations_agree():
     schema, program = build_unit(TC_SOURCE)
     edb = random_edges(40, 80, seed=31)
-    fast = Engine(schema, program,
-                  EvalConfig(seminaive=False, use_indexes=True)).run(edb)
-    slow = Engine(schema, program,
-                  EvalConfig(seminaive=False, use_indexes=False)).run(edb)
+    fast = Engine(schema, program, EvalConfig(use_indexes=True)).run(edb)
+    slow = Engine(schema, program, EvalConfig(use_indexes=False)).run(edb)
     assert fast == slow

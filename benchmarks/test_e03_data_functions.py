@@ -19,7 +19,7 @@ implementing LOGRES *on top of* ALGRES restructuring operators.
 import pytest
 
 from benchmarks.conftest import build_unit
-from repro import Engine, EvalConfig, Semantics
+from repro import Engine, EvalConfig, ResourceGuard, Semantics
 from repro.algres import (
     Catalog,
     Closure,
@@ -57,7 +57,8 @@ def test_logres_data_function_nesting(benchmark, people):
     edb = genealogy_facts(people, seed=7)
 
     def run():
-        engine = Engine(schema, program, EvalConfig(max_facts=500_000))
+        engine = Engine(schema, program,
+                        EvalConfig(guard=ResourceGuard(max_facts=500_000)))
         return engine.run(edb, Semantics.STRATIFIED)
 
     out = benchmark(run)

@@ -46,7 +46,7 @@ ALL_SEMANTICS = [
 def test_semantics(benchmark, semantics, edges):
     schema, program = build_unit(SOURCE)
     edb = random_edges(edges // 2, edges, seed=17)
-    out = benchmark(run_logres, schema, program, edb, True, semantics)
+    out = benchmark(run_logres, schema, program, edb, semantics)
     assert out.count("anc") >= out.count("parent")
 
 
@@ -54,7 +54,7 @@ def test_all_semantics_agree_on_stratified_program():
     schema, program = build_unit(SOURCE)
     edb = random_edges(30, 60, seed=17)
     results = [
-        run_logres(schema, program, edb, True, semantics)
+        run_logres(schema, program, edb, semantics)
         for semantics in ALL_SEMANTICS
     ]
     assert results[0] == results[1] == results[2]
@@ -74,7 +74,7 @@ def test_inflationary_is_uniform_on_unstratified_program():
       win(p X) <- move(a X, b Y), ~win(p Y).
     """)
     edb = random_edges(12, 18, seed=3, pred="move", a="a", b="b")
-    out = run_logres(schema, program, edb, True, Semantics.INFLATIONARY)
+    out = run_logres(schema, program, edb, Semantics.INFLATIONARY)
     assert out.count("win") > 0
     with pytest.raises(StratificationError):
-        run_logres(schema, program, edb, True, Semantics.STRATIFIED)
+        run_logres(schema, program, edb, Semantics.STRATIFIED)

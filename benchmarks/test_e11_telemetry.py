@@ -47,7 +47,7 @@ def test_bus_publish_throughput(benchmark):
 def test_e01_disabled(benchmark):
     schema, program, edb = _plan_gate_workload()
     benchmark.extra_info["config"] = eval_config_info(plan=True)
-    out = benchmark(run_logres, schema, program, edb, True, plan=True)
+    out = benchmark(run_logres, schema, program, edb, plan=True)
     assert out.count("anc") >= out.count("parent")
 
 

@@ -823,11 +823,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-facts", type=int, metavar="N",
-            help="budget on live derived facts",
+            help="budget on live derived facts (default: 1000000)",
         )
         p.add_argument(
             "--max-oids", type=int, metavar="N",
-            help="budget on invented oids",
+            help="budget on invented oids (default: 100000)",
         )
         p.add_argument(
             "--plan", choices=["on", "off"], default="on",
@@ -841,8 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--reference",
         action="store_true",
-        help="use the copying reference kernel instead of the"
-             " incremental one (for timing comparisons)",
+        help="run the reference kernel: the naive, copying, unplanned"
+             " executable specification the fast kernels are tested"
+             " against (slow; for A/B checks)",
     )
     p_run.add_argument(
         "--trace-out", metavar="FILE",

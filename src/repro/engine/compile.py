@@ -139,7 +139,8 @@ class CompiledRule:
         build = self.head_build
         facts = ctx.facts
         plus_add = deltas.plus.add
-        if guard is None and skip_satisfied:
+        sized = guard.max_fact_size is not None
+        if not sized and skip_satisfied:
             def emit(regs):
                 fact = build(regs)
                 if fact not in facts:
@@ -148,7 +149,7 @@ class CompiledRule:
 
         def emit(regs):
             fact = build(regs)
-            if guard is not None:
+            if sized:
                 guard.check_fact_size(fact.pred, fact.value)
             if skip_satisfied and fact in facts:
                 return
@@ -171,7 +172,7 @@ class CompiledRule:
         table = facts._assoc.get(pred)
         seen_values = seen.setdefault(pred, set())
         seen_add = seen_values.add
-        if guard is None:
+        if guard.max_fact_size is None:
             if table is None:
                 def emit(regs):
                     value = build_value(regs)

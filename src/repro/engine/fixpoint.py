@@ -24,20 +24,29 @@ runs its compiled body (:mod:`repro.engine.compile`) when the planner
 built one and the generic body evaluator otherwise, in the same
 rounds.  The negated predicates are complete in lower strata, so the
 rounds compute the same fixpoint, in the same number of iterations, as
-the inflationary operator (property-tested against the reference
-kernel, which keeps the general path in every stratum).  Under
-inflationary semantics the whole program is one scope, and it takes the
-fast path only when it is also negation-free: its instance is then
-monotone in the EDB, which is what :meth:`Engine.extend` relies on.
+the inflationary operator.  Under inflationary semantics the whole
+program is one scope, and it takes the fast path only when it is also
+negation-free: its instance is then monotone in the EDB, which is what
+:meth:`Engine.extend` relies on.  Every other scope runs the general
+path, which applies each step's deltas in place.
 
 A scope that reads none of its own predicates, deletes nothing and
 whose class heads all invent their oids reaches its fixpoint after one
 round of the general path: a second round would see the same
 valuations over the same facts, every head already satisfied.
 
-Termination is undecidable (Appendix B), so every loop is guarded by the
-iteration / fact / invention budgets of :class:`EvalConfig` and raises
-:class:`~repro.errors.NonTerminationError` when exceeded.
+``EvalConfig(incremental=False)`` selects the **reference kernel**,
+the one executable specification the fast paths are property-tested
+against: the naive inflationary operator in every scope or stratum
+(each iteration builds a new fact set and compares whole states), and
+the naive non-inflationary step, never planned and never compiled.
+
+Termination is undecidable (Appendix B), so every loop is bounded by
+:attr:`EvalConfig.max_iterations` (a
+:class:`~repro.errors.NonTerminationError`) and by the run's
+:class:`~repro.engine.guards.ResourceGuard`, whose fact and invention
+budgets always hold (a
+:class:`~repro.errors.EvalBudgetExceeded` with a snapshot).
 """
 
 from __future__ import annotations
@@ -102,33 +111,31 @@ class Semantics(enum.Enum):
 class EvalConfig:
     """Budgets and switches for fixpoint evaluation.
 
-    ``incremental`` selects the O(|Δ|) kernel: deltas are applied to the
-    working fact set in place (:func:`apply_deltas_inplace`), fixpoint
-    detection is "the net change is empty", and indexes / active domains
-    persist across iterations.  ``incremental=False`` keeps the
-    reference copy-per-iteration implementation, which the property
-    suite pins the kernel against.
+    ``incremental`` selects the fast kernels: semi-naive rounds where a
+    scope allows them, and elsewhere deltas applied to the working fact
+    set in place (:func:`apply_deltas_inplace`), with "the net change
+    is empty" as the fixpoint test and indexes / active domains kept
+    across iterations.  ``incremental=False`` is the reference kernel:
+    the naive, copying, unplanned and uncompiled executable
+    specification under every semantics (``repro run --reference``).
 
     ``guard`` attaches a :class:`~repro.engine.guards.ResourceGuard`:
     wall-clock timeout, live-fact / invented-oid / fact-size budgets and
     cooperative cancellation, checked at every iteration boundary and at
-    invention sites.  A breach raises
+    invention sites.  Without one the engine runs under a default guard,
+    so the fact and invention budgets always hold.  A breach raises
     :class:`~repro.errors.EvalBudgetExceeded` carrying the partial stats
     and a consistent partial-state snapshot (``docs/ROBUSTNESS.md``).
 
     ``plan`` runs the cost-based planner
-    (:mod:`repro.engine.planner`) before each fixpoint scope: rule
-    bodies are reordered from live index statistics and, on the
-    incremental kernel, rules in the compilable fragment are
-    specialized into closures (:mod:`repro.engine.compile`) that run
-    from their first valuation.  ``plan=False`` restores the dynamic
-    greedy scheduler everywhere.
+    (:mod:`repro.engine.planner`) before each fixpoint scope of the fast
+    kernels: rule bodies are reordered from live index statistics and
+    rules in the compilable fragment are specialized into closures
+    (:mod:`repro.engine.compile`) that run from their first valuation.
+    ``plan=False`` restores the dynamic greedy scheduler everywhere.
     """
 
     max_iterations: int = 10_000
-    max_facts: int = 1_000_000
-    max_inventions: int = 100_000
-    seminaive: bool = True
     use_indexes: bool = True
     incremental: bool = True
     plan: bool = True
@@ -160,6 +167,10 @@ class Engine:
         instrumentation: Instrumentation | None = None,
     ):
         self.config = config or EvalConfig()
+        #: the run's one budget mechanism: the configured guard, or a
+        #: default one holding the default fact and invention budgets
+        self.guard = self.config.guard if self.config.guard is not None \
+            else ResourceGuard()
         self.obs = instrumentation or NULL_INSTRUMENTATION
         # collect-all analysis: an error raises the legacy exception, but
         # with every error of the run attached as ``exc.diagnostics``
@@ -219,7 +230,7 @@ class Engine:
         return (
             semantics in (Semantics.INFLATIONARY, Semantics.STRATIFIED)
             and not self.obs.enabled
-            and self.config.seminaive
+            and self.config.incremental
             and self._monotone(self._head_rules())
         )
 
@@ -236,8 +247,8 @@ class Engine:
         ``edb`` is ``E0`` plus the ``inserted`` facts; only legal where
         :meth:`extendable` holds.  The semi-naive delta rounds run from
         a copy of ``base`` (never mutated), seeded with the inserted
-        facts it lacks, under the same guard checks, fact budgets and
-        plans as :meth:`run`; the oid generator is reserved above
+        facts it lacks, under the same guard checks and plans as
+        :meth:`run`; the oid generator is reserved above
         ``edb`` exactly as a full run reserves it."""
         return self._evaluate(
             semantics, None,
@@ -254,12 +265,9 @@ class Engine:
             obs = obs.with_extra_sink(tracer)
         if obs.enabled:
             obs.run_started(semantics.value, len(self.runtimes))
-        if self.config.guard is not None:
-            # flush-on-breach: an EvalBudgetExceeded abort still leaves
-            # every attached trace ending on a complete JSON line
-            self.config.guard.arm(
-                on_breach=obs.flush if obs.enabled else None
-            )
+        # flush-on-breach: an EvalBudgetExceeded abort still leaves
+        # every attached trace ending on a complete JSON line
+        self.guard.arm(on_breach=obs.flush if obs.enabled else None)
         started = time.perf_counter()
         facts_out = 0
         try:
@@ -289,47 +297,45 @@ class Engine:
         self._reserve(edb)
         inventions = InventionRegistry(self.oidgen)
         rules = self._head_rules()
-        if semantics is Semantics.INFLATIONARY:
-            facts = edb.copy()
-            if obs.enabled:
-                facts.index_stats = obs.index_stats
-            self._attach_plans(rules, facts, obs, semantics)
-            if not obs.enabled and self.config.seminaive and \
-                    self._monotone(rules):
-                self.stats.used_seminaive = True
-                return self._run_seminaive(facts, rules)
-            return self._run_inflationary(facts, rules, inventions, obs)
-        if semantics is Semantics.STRATIFIED:
-            strata = stratify_runtimes(rules, self.analysis)
-            self.stats.strata = len(strata)
-            facts = edb.copy()
-            if obs.enabled:
-                facts.index_stats = obs.index_stats
-            # the reference kernel keeps the general path per stratum
-            seminaive = not obs.enabled and self.config.seminaive and \
-                self.config.incremental
-            for level, stratum in enumerate(strata):
-                # per-stratum planning: lower strata have materialized,
-                # so the statistics are live at each boundary
-                self._attach_plans(facts=facts, rules=stratum, obs=obs,
-                                   semantics=semantics, stratum=level)
-                if obs.enabled:
-                    obs.stratum_started(level, len(stratum))
-                    stratum_began = time.perf_counter()
-                if seminaive and self._seminaive_applicable(stratum):
-                    self.stats.used_seminaive = True
-                    facts = self._run_seminaive(facts, stratum)
-                else:
-                    facts = self._run_inflationary(facts, stratum,
-                                                   inventions, obs)
-                if obs.enabled:
-                    obs.stratum_finished(
-                        level, time.perf_counter() - stratum_began
-                    )
-            return facts
         if semantics is Semantics.NONINFLATIONARY:
             return self._run_noninflationary(edb, rules, inventions, obs)
-        raise EvaluationError(f"unknown semantics {semantics!r}")
+        if semantics is Semantics.INFLATIONARY:
+            # one scope, semi-naive only where extend can continue it
+            scopes = [rules]
+            seminaive_applicable = self._monotone
+        elif semantics is Semantics.STRATIFIED:
+            scopes = stratify_runtimes(rules, self.analysis)
+            self.stats.strata = len(scopes)
+            seminaive_applicable = self._seminaive_applicable
+        else:
+            raise EvaluationError(f"unknown semantics {semantics!r}")
+        stratified = semantics is Semantics.STRATIFIED
+        reference = not self.config.incremental
+        facts = edb.copy()
+        if obs.enabled:
+            facts.index_stats = obs.index_stats
+        for level, scope in enumerate(scopes):
+            # per-stratum planning: lower strata have materialized, so
+            # the statistics are live at each boundary
+            self._attach_plans(scope, facts, obs, semantics,
+                               level if stratified else None)
+            if stratified and obs.enabled:
+                obs.stratum_started(level, len(scope))
+                stratum_began = time.perf_counter()
+            if reference:
+                facts = self._run_inflationary_reference(
+                    facts, scope, inventions, obs)
+            elif not obs.enabled and seminaive_applicable(scope):
+                self.stats.used_seminaive = True
+                facts = self._run_seminaive(facts, scope)
+            else:
+                facts = self._run_inflationary_incremental(
+                    facts, scope, inventions, obs)
+            if stratified and obs.enabled:
+                obs.stratum_finished(
+                    level, time.perf_counter() - stratum_began
+                )
+        return facts
 
     def _extend(
         self,
@@ -359,15 +365,15 @@ class Engine:
     ) -> None:
         """Plan one fixpoint scope and arm the runtimes.
 
-        Compiled bodies are built only where they can legally run, and
-        then run from the rule's first valuation: on the incremental
-        kernel (the reference kernel, ``incremental=False``, stays the
-        generic executable specification), uninstrumented (events must
-        observe every valuation) and with indexes on (the closures bind
-        index lookups directly).
+        The reference kernel (``incremental=False``) is never planned:
+        it stays the generic executable specification.  Compiled bodies
+        are built only where they can legally run, and then run from
+        the rule's first valuation: uninstrumented (events must observe
+        every valuation) and with indexes on (the closures bind index
+        lookups directly).
         """
         cfg = self.config
-        if not cfg.plan or not rules:
+        if not cfg.plan or not cfg.incremental or not rules:
             return
         from repro.engine.compile import compile_rule
         from repro.engine.planner import build_plan
@@ -377,8 +383,7 @@ class Engine:
                           semantics=semantics.value, stratum=stratum,
                           program_inventors=self._inventors)
         self.plans.append(plan)
-        compiling = cfg.incremental and cfg.use_indexes and \
-            not obs.enabled
+        compiling = cfg.use_indexes and not obs.enabled
         for runtime, rule_plan in zip(rules, plan.rules):
             runtime.plan = rule_plan
             runtime.compiled = None
@@ -448,6 +453,8 @@ class Engine:
         number = self.stats.iterations + 1
         self.stats.iterations = number
         if FAULTS.enabled:
+            # the caller's guard only: a cancel fault must not leave this
+            # engine's private default guard cancelled for its next run
             FAULTS.fire("engine.iteration", guard=self.config.guard)
         if obs.enabled:
             obs.iteration_started(number)
@@ -462,7 +469,6 @@ class Engine:
 
     def _guard_boundary(
         self,
-        guard: ResourceGuard | None,
         facts: FactSet,
         live: int,
         inventions: int,
@@ -475,10 +481,8 @@ class Engine:
         the beacon is free when the interval has not elapsed."""
         if obs.enabled:
             obs.maybe_heartbeat(live, inventions)
-        if guard is None:
-            return
         try:
-            guard.check_iteration(live, inventions)
+            self.guard.check_iteration(live, inventions)
         except EvalBudgetExceeded as exc:
             raise exc.attach(stats=self.stats, snapshot=facts)
 
@@ -492,21 +496,6 @@ class Engine:
     # ------------------------------------------------------------------
     # inflationary (general path)
     # ------------------------------------------------------------------
-    def _run_inflationary(
-        self,
-        facts: FactSet,
-        rules: list[RuleRuntime],
-        inventions: InventionRegistry,
-        obs: Instrumentation = NULL_INSTRUMENTATION,
-    ) -> FactSet:
-        if self.config.incremental:
-            return self._run_inflationary_incremental(
-                facts, rules, inventions, obs
-            )
-        return self._run_inflationary_reference(
-            facts, rules, inventions, obs
-        )
-
     def _run_inflationary_incremental(
         self,
         facts: FactSet,
@@ -525,7 +514,6 @@ class Engine:
         its first round.
         """
         cfg = self.config
-        guard = cfg.guard
         step_obs = obs if obs.enabled else None
         metrics = obs.metrics if obs.enabled else None
         ctx = MatchContext(facts, self.schema, cfg.use_indexes,
@@ -534,21 +522,13 @@ class Engine:
         live = facts.count()
         once = self._one_round(rules)
         for _ in range(cfg.max_iterations):
-            self._guard_boundary(guard, facts, live, inventions.count,
-                                 obs)
+            self._guard_boundary(facts, live, inventions.count, obs)
             try:
                 with self._iteration(obs):
                     deltas = compute_deltas(rules, ctx, inventions,
                                             obs=step_obs, domains=domains,
-                                            guard=guard)
+                                            guard=self.guard)
                     self.stats.inventions += deltas.inventions
-                    if inventions.count > cfg.max_inventions:
-                        raise NonTerminationError(
-                            f"oid invention budget exceeded"
-                            f" ({inventions.count} oids)",
-                            self.stats.iterations,
-                            stats=self.stats,
-                        )
                     net = apply_deltas_inplace(facts, deltas)
             except EvalBudgetExceeded as exc:
                 # compute_deltas never mutates ``facts``, so the working
@@ -559,16 +539,9 @@ class Engine:
             live += net.count_drift
             self.stats.facts_derived = live
             domains.invalidate(net.predicates())
-            if live > cfg.max_facts:
-                raise NonTerminationError(
-                    f"fact budget exceeded ({live} facts)",
-                    self.stats.iterations,
-                    stats=self.stats,
-                )
             if once:
                 # the boundary check the skipped second round would make
-                self._guard_boundary(guard, facts, live, inventions.count,
-                                     obs)
+                self._guard_boundary(facts, live, inventions.count, obs)
                 return facts
         raise NonTerminationError(
             f"no fixpoint after {cfg.max_iterations} iterations",
@@ -606,34 +579,24 @@ class Engine:
         inventions: InventionRegistry,
         obs: Instrumentation = NULL_INSTRUMENTATION,
     ) -> FactSet:
-        """Copying reference implementation (``incremental=False``).
-
-        Kept verbatim as the executable specification the incremental
-        kernel is property-tested against: every iteration builds a new
-        fact set and compares whole states for fixpoint detection.
+        """The reference kernel's inflationary operator
+        (``incremental=False``): the executable specification every
+        fast path is property-tested against.  Every iteration builds a
+        new fact set and compares whole states for fixpoint detection.
         """
         cfg = self.config
-        guard = cfg.guard
         step_obs = obs if obs.enabled else None
         metrics = obs.metrics if obs.enabled else None
         for _ in range(cfg.max_iterations):
-            self._guard_boundary(guard, facts, facts.count(),
-                                 inventions.count, obs)
+            self._guard_boundary(facts, facts.count(), inventions.count,
+                                 obs)
             try:
                 with self._iteration(obs):
                     ctx = MatchContext(facts, self.schema,
-                                       self.config.use_indexes,
-                                       metrics=metrics)
+                                       cfg.use_indexes, metrics=metrics)
                     deltas = compute_deltas(rules, ctx, inventions,
-                                            obs=step_obs, guard=guard)
+                                            obs=step_obs, guard=self.guard)
                     self.stats.inventions += deltas.inventions
-                    if inventions.count > cfg.max_inventions:
-                        raise NonTerminationError(
-                            f"oid invention budget exceeded"
-                            f" ({inventions.count} oids)",
-                            self.stats.iterations,
-                            stats=self.stats,
-                        )
                     new_facts = apply_deltas(facts, deltas)
             except EvalBudgetExceeded as exc:
                 raise exc.attach(stats=self.stats, snapshot=facts)
@@ -641,12 +604,6 @@ class Engine:
                 return facts
             facts = new_facts
             self.stats.facts_derived = facts.count()
-            if facts.count() > cfg.max_facts:
-                raise NonTerminationError(
-                    f"fact budget exceeded ({facts.count()} facts)",
-                    self.stats.iterations,
-                    stats=self.stats,
-                )
         raise NonTerminationError(
             f"no fixpoint after {cfg.max_iterations} iterations",
             self.stats.iterations,
@@ -718,13 +675,10 @@ class Engine:
         ``delta=None`` starts from the EDB ``facts`` with the initial
         round, every body evaluated in full; a given ``delta`` continues
         a fixpoint that ``facts`` already holds (plus the ``delta``
-        facts), straight from the delta rounds.  ``incremental=False``
-        keeps the copy-per-round reference mode: each round composes a
-        new state instead of adding to the live one.
+        facts), straight from the delta rounds.
         """
         cfg = self.config
-        guard = cfg.guard
-        incremental = cfg.incremental
+        guard = self.guard
         # the iteration budget is per scope, as on the general path
         start = self.stats.iterations
         obs = NULL_INSTRUMENTATION  # semi-naive only runs uninstrumented
@@ -749,7 +703,7 @@ class Engine:
         self.stats.facts_derived = live
         pending = None if delta is None else list(delta.facts())
         while pending is None or pending:
-            self._guard_boundary(guard, facts, live, 0)
+            self._guard_boundary(facts, live, 0)
             with self._iteration(obs):
                 if pending is not None and \
                         self.stats.iterations - start > cfg.max_iterations:
@@ -794,23 +748,12 @@ class Engine:
                             continue
                         for seed, state, emit in handlers:
                             seed(fact, state, ctx, emit)
-                if incremental:
-                    for fact in fresh:
-                        facts.add(fact)
-                    domains.invalidate(seen)
-                else:
-                    facts = facts.compose(FactSet.from_facts(fresh))
-                    ctx = MatchContext(facts, self.schema, cfg.use_indexes)
-                    domains = ActiveDomains(facts, self.schema)
+                for fact in fresh:
+                    facts.add(fact)
+                domains.invalidate(seen)
                 live += len(fresh)
                 self.stats.facts_derived = live
                 pending = fresh
-            if live > cfg.max_facts:
-                raise NonTerminationError(
-                    f"fact budget exceeded ({live} facts)",
-                    self.stats.iterations,
-                    stats=self.stats,
-                )
         return facts
 
     # ------------------------------------------------------------------
@@ -828,7 +771,6 @@ class Engine:
                 "non-inflationary semantics does not support oid invention"
             )
         cfg = self.config
-        guard = cfg.guard
         step_obs = obs if obs.enabled else None
         metrics = obs.metrics if obs.enabled else None
         facts = edb.copy()
@@ -837,16 +779,15 @@ class Engine:
         self._attach_plans(rules, facts, obs, Semantics.NONINFLATIONARY)
         seen: list[FactSet] = [facts.copy()]
         for _ in range(cfg.max_iterations):
-            self._guard_boundary(guard, facts, facts.count(),
-                                 inventions.count, obs)
+            self._guard_boundary(facts, facts.count(), inventions.count,
+                                 obs)
             try:
                 with self._iteration(obs):
                     ctx = MatchContext(facts, self.schema,
-                                       self.config.use_indexes,
-                                       metrics=metrics)
+                                       cfg.use_indexes, metrics=metrics)
                     deltas = compute_deltas(rules, ctx, inventions,
                                             skip_satisfied=False,
-                                            obs=step_obs, guard=guard)
+                                            obs=step_obs, guard=self.guard)
                     new_facts = edb.copy().compose(deltas.plus).minus(
                         deltas.minus
                     )
@@ -864,12 +805,6 @@ class Engine:
                     )
             seen.append(new_facts.copy())
             facts = new_facts
-            if facts.count() > cfg.max_facts:
-                raise NonTerminationError(
-                    f"fact budget exceeded ({facts.count()} facts)",
-                    self.stats.iterations,
-                    stats=self.stats,
-                )
         raise NonTerminationError(
             f"no fixpoint after {cfg.max_iterations} iterations",
             self.stats.iterations,

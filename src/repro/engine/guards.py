@@ -1,15 +1,16 @@
 """Execution guards: bounded, cancellable fixpoint evaluation.
 
 The paper flags non-terminating oid invention as the central hazard of
-the semantics (Section 3.3), and :class:`~repro.engine.fixpoint.EvalConfig`
-has always bounded iterations, facts and inventions.  A
-:class:`ResourceGuard` extends those static budgets with the budgets a
-long-running service needs:
+the semantics (Section 3.3).  :class:`~repro.engine.fixpoint.EvalConfig`
+bounds iterations; a :class:`ResourceGuard` holds every other budget,
+and every engine run has one (the configured guard, or a default one):
 
 * a **wall-clock timeout** (seconds, monotonic clock),
-* a **max-derived-facts** budget on the live fact count,
+* a **max-derived-facts** budget on the live fact count (default
+  :data:`DEFAULT_MAX_FACTS`),
 * a **max-invented-oids** budget checked *at invention sites* (so a
-  single runaway iteration cannot overshoot the budget arbitrarily),
+  single runaway iteration cannot overshoot the budget arbitrarily;
+  default :data:`DEFAULT_MAX_INVENTIONS`),
 * a **max-fact-size** budget on the scalar width of any derived fact
   (oid invention paired with collection constructors can grow values,
   not just fact counts), and
@@ -48,6 +49,11 @@ BUDGET_CODES: dict[str, str] = {
     "max_iterations": "LG806",
 }
 
+#: what a fact or invention budget left at ``None`` resolves to: no run
+#: is unbounded in facts or oids
+DEFAULT_MAX_FACTS = 1_000_000
+DEFAULT_MAX_INVENTIONS = 100_000
+
 
 def value_size(value) -> int:
     """The scalar width of a value: how many elementary leaves it holds."""
@@ -68,6 +74,11 @@ class ResourceGuard:
     (that is when the timeout deadline is fixed); cancellation is sticky
     across runs until :meth:`reset`, so a guard shared with a
     controlling thread keeps refusing work after a cancel.
+
+    ``max_facts`` and ``max_inventions`` left at ``None`` resolve to
+    :data:`DEFAULT_MAX_FACTS` and :data:`DEFAULT_MAX_INVENTIONS` on
+    construction; ``timeout`` and ``max_fact_size`` left at ``None``
+    are unbounded.
     """
 
     timeout: float | None = None        # wall-clock seconds per run
@@ -77,6 +88,12 @@ class ResourceGuard:
     _deadline: float | None = field(default=None, repr=False, compare=False)
     _cancelled: bool = field(default=False, repr=False, compare=False)
     _on_breach: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.max_facts is None:
+            self.max_facts = DEFAULT_MAX_FACTS
+        if self.max_inventions is None:
+            self.max_inventions = DEFAULT_MAX_INVENTIONS
 
     # ------------------------------------------------------------------
     def arm(self, on_breach=None) -> "ResourceGuard":
@@ -112,19 +129,11 @@ class ResourceGuard:
         """Iteration-boundary check: all four kernels call this before
         starting an iteration (`docs/ROBUSTNESS.md`)."""
         self._check_interrupt()
-        if (
-            self.max_facts is not None
-            and facts is not None
-            and facts > self.max_facts
-        ):
+        if facts is not None and facts > self.max_facts:
             self._trip("max_facts", self.max_facts, facts,
                        f"fact budget exceeded ({facts} live facts,"
                        f" limit {self.max_facts})")
-        if (
-            self.max_inventions is not None
-            and inventions is not None
-            and inventions > self.max_inventions
-        ):
+        if inventions is not None and inventions > self.max_inventions:
             self._trip("max_inventions", self.max_inventions, inventions,
                        f"oid invention budget exceeded ({inventions} oids,"
                        f" limit {self.max_inventions})")
@@ -134,10 +143,7 @@ class ResourceGuard:
         inventing rule is stopped mid-iteration, not one iteration
         late."""
         self._check_interrupt()
-        if (
-            self.max_inventions is not None
-            and inventions > self.max_inventions
-        ):
+        if inventions > self.max_inventions:
             self._trip("max_inventions", self.max_inventions, inventions,
                        f"oid invention budget exceeded ({inventions} oids,"
                        f" limit {self.max_inventions})")

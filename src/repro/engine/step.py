@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import EvaluationError, SafetyError
 from repro.engine.activedomain import ActiveDomains
+from repro.engine.guards import ResourceGuard
 from repro.engine.valuation import (
     SELF_LABEL,
     Bindings,
@@ -514,7 +515,8 @@ def process_head(
     inventions: InventionRegistry,
     skip_satisfied: bool = True,
     obs=None,
-    guard=None,
+    *,
+    guard: ResourceGuard,
 ) -> list[Fact]:
     """Turn one body valuation into a Δ⁺ or Δ⁻ contribution.
 
@@ -525,7 +527,10 @@ def process_head(
     :class:`repro.observability.Instrumentation`) receives one
     rule-fired notification per valuation — that event stream is what
     :class:`repro.engine.trace.Tracer` records provenance from.
-    Returns the facts this valuation contributed (empty for a duplicate).
+    ``guard`` is the run's :class:`ResourceGuard`: its fact-size budget
+    is checked per derived fact when set, its invention budget at every
+    fresh oid.  Returns the facts this valuation contributed (empty for
+    a duplicate).
     """
     head = runtime.rule.head
     assert isinstance(head, Literal)
@@ -650,12 +655,12 @@ def _derive_object(
     ctx: MatchContext,
     deltas: StepDeltas,
     inventions: InventionRegistry,
-    skip_satisfied: bool = True,
-    obs=None,
-    guard=None,
+    skip_satisfied: bool,
+    obs,
+    guard: ResourceGuard,
 ) -> list[Fact]:
     attrs = _head_attributes(head, bindings, ctx)
-    if guard is not None:
+    if guard.max_fact_size is not None:
         guard.check_fact_size(head.pred, attrs)
     oid: Oid | None = None
     for term in (head.args.self_term, head.args.tuple_var):
@@ -676,10 +681,9 @@ def _derive_object(
         oid, fresh = inventions.oid_for(runtime.index, bindings)
         if fresh:
             deltas.inventions += 1
-            if guard is not None:
-                # invention-site budget check: a runaway inventing rule
-                # is stopped mid-iteration, not one iteration late
-                guard.on_invention(inventions.count)
+            # invention-site budget check: a runaway inventing rule is
+            # stopped mid-iteration, not one iteration late
+            guard.on_invention(inventions.count)
             if obs is not None:
                 obs.invention(runtime, oid)
     else:
@@ -749,11 +753,11 @@ def _derive_tuple(
     bindings: Bindings,
     ctx: MatchContext,
     deltas: StepDeltas,
-    skip_satisfied: bool = True,
-    guard=None,
+    skip_satisfied: bool,
+    guard: ResourceGuard,
 ) -> list[Fact]:
     attrs = _head_attributes(head, bindings, ctx)
-    if guard is not None:
+    if guard.max_fact_size is not None:
         guard.check_fact_size(head.pred, attrs)
     fact = Fact(head.pred, attrs)
     if skip_satisfied and fact in ctx.facts:
@@ -773,10 +777,11 @@ def make_round_emit(runtime, ctx, fresh, seen, guard):
     pred = head.pred
     facts = ctx.facts
     seen_values = seen.setdefault(pred, set())
+    sized = guard.max_fact_size is not None
 
     def emit(bindings):
         value = _head_attributes(head, bindings, ctx)
-        if guard is not None:
+        if sized:
             guard.check_fact_size(pred, value)
         if value in seen_values:
             return
@@ -819,7 +824,8 @@ def compute_deltas(
     skip_satisfied: bool = True,
     obs=None,
     domains: ActiveDomains | None = None,
-    guard=None,
+    *,
+    guard: ResourceGuard,
 ) -> StepDeltas:
     """Apply every rule once against the current fact set.
 
@@ -829,6 +835,8 @@ def compute_deltas(
     :class:`repro.observability.Instrumentation`, or None) receives
     per-rule wall time and the rule-fired stream; the ``obs is None``
     loop is kept separate so the uninstrumented hot path pays nothing.
+    ``guard`` is the run's :class:`ResourceGuard` (see
+    :func:`process_head`).
     """
     deltas = StepDeltas()
     if domains is None:

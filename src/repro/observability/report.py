@@ -174,7 +174,6 @@ def build_run_report(
         config={
             "kernel": kernel,
             "plan": engine.config.plan,
-            "seminaive": engine.config.seminaive,
             "use_indexes": engine.config.use_indexes,
         },
         plans=profile.plans,

@@ -171,8 +171,11 @@ class Materialized:
 
 
 def _guard_limits(guard: ResourceGuard | None) -> tuple[int | None, ...]:
+    """The limits a run under ``guard`` is held to; without one the
+    engine runs under a default guard, whose fact and invention budgets
+    are the defaults."""
     if guard is None:
-        return (None, None, None)
+        guard = ResourceGuard()
     return (guard.max_facts, guard.max_inventions, guard.max_fact_size)
 
 

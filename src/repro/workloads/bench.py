@@ -90,7 +90,6 @@ def cell_config(kernel: str, semantics, seed: int) -> dict:
         "seed": seed,
         "incremental": cfg.incremental,
         "plan": cfg.plan,
-        "seminaive": cfg.seminaive,
         "use_indexes": cfg.use_indexes,
     }
 

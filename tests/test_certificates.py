@@ -13,15 +13,24 @@ This is also what licenses the engine's certificate-backed reordering
 in ``Engine._attach_plans`` (cheapest-plan-first within a group).
 """
 
+import dataclasses
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Engine, EvalConfig, FactSet, Semantics, parse_source
+from repro import (
+    Engine,
+    EvalConfig,
+    FactSet,
+    ResourceGuard,
+    Semantics,
+    parse_source,
+)
 from repro.analysis import lint_source
 from repro.errors import LogresError
 from repro.language.ast import Program
 from repro.workloads import random_edges
+from tests.kernels import REFERENCE
 
 MAX_ITERATIONS = 300
 
@@ -104,11 +113,10 @@ def seed_edb(rng: random.Random) -> FactSet:
 
 def outcome(schema, program, edb, semantics, *, reference: bool):
     """(status, payload) so legitimately failing runs compare equal."""
-    config = EvalConfig(
+    config = dataclasses.replace(
+        REFERENCE if reference else EvalConfig(),
         max_iterations=MAX_ITERATIONS,
-        max_facts=50_000,
-        incremental=not reference,
-        plan=not reference,
+        guard=ResourceGuard(max_facts=50_000),
     )
     engine = Engine(schema, program, config)
     try:

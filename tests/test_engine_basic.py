@@ -1,11 +1,21 @@
 """Engine tests: positive rules, joins, recursion, builtins, goals."""
 
+import dataclasses
+
 import pytest
 
-from repro import Engine, EvalConfig, FactSet, Semantics, TupleValue
+from repro import (
+    Engine,
+    EvalConfig,
+    FactSet,
+    ResourceGuard,
+    Semantics,
+    TupleValue,
+)
 from repro.engine.goals import answer_goal, goal_holds
 from repro.errors import NonTerminationError
 from repro.language.parser import parse_program, parse_source
+from tests.kernels import REFERENCE
 
 
 def run(schema, program_text, edb, semantics=Semantics.INFLATIONARY,
@@ -35,10 +45,8 @@ class TestTransitiveClosure:
 
     def test_seminaive_and_naive_agree(self, edge_schema, chain_parents,
                                        tc_program):
-        fast = Engine(edge_schema, tc_program,
-                      EvalConfig(seminaive=True))
-        slow = Engine(edge_schema, tc_program,
-                      EvalConfig(seminaive=False))
+        fast = Engine(edge_schema, tc_program, EvalConfig())
+        slow = Engine(edge_schema, tc_program, REFERENCE)
         assert fast.run(chain_parents) == slow.run(chain_parents)
         assert fast.stats.used_seminaive
         assert not slow.stats.used_seminaive
@@ -149,7 +157,8 @@ class TestBudgets:
         edb = FactSet()
         edb.add_association("n", TupleValue(v=0))
         engine = Engine(unit.schema(), unit.program(),
-                        EvalConfig(max_facts=50, seminaive=False))
+                        dataclasses.replace(
+                            REFERENCE, guard=ResourceGuard(max_facts=50)))
         with pytest.raises(NonTerminationError):
             engine.run(edb)
 
@@ -163,7 +172,7 @@ class TestBudgets:
         edb = FactSet()
         edb.add_association("n", TupleValue(v=0))
         engine = Engine(unit.schema(), unit.program(),
-                        EvalConfig(max_iterations=5, seminaive=False))
+                        dataclasses.replace(REFERENCE, max_iterations=5))
         with pytest.raises(NonTerminationError) as err:
             engine.run(edb)
         assert err.value.iterations >= 5
@@ -178,7 +187,7 @@ class TestBudgets:
         edb = FactSet()
         edb.add_association("n", TupleValue(v=0))
         engine = Engine(unit.schema(), unit.program(),
-                        EvalConfig(max_facts=50, seminaive=True))
+                        EvalConfig(guard=ResourceGuard(max_facts=50)))
         with pytest.raises(NonTerminationError):
             engine.run(edb)
 

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro import Engine, EvalConfig, FactSet, Oid, Semantics, TupleValue
+from repro import (
+    Engine,
+    EvalConfig,
+    FactSet,
+    Oid,
+    ResourceGuard,
+    Semantics,
+    TupleValue,
+)
 from repro.errors import NonTerminationError
 from repro.language.parser import parse_source
 
@@ -164,7 +172,7 @@ class TestInventionMechanics:
           c(tag Y) <- c(self S, tag X), Y = X + 1.
         """)
         engine = Engine(schema, program,
-                        EvalConfig(max_inventions=40))
+                        EvalConfig(guard=ResourceGuard(max_inventions=40)))
         with pytest.raises(NonTerminationError, match="invention"):
             engine.run(FactSet())
 

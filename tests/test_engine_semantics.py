@@ -6,6 +6,7 @@ from repro import Engine, EvalConfig, FactSet, Semantics, TupleValue
 from repro.engine.fixpoint import stratify_runtimes
 from repro.errors import NonTerminationError
 from repro.language.parser import parse_source
+from tests.kernels import REFERENCE
 
 
 def build(text):
@@ -143,9 +144,11 @@ class TestSeminaiveEquivalence:
           anc(a X, d Z) <- parent(par X, chil Y), anc(a Y, d Z).
         """)
         edb = random_edges(12, 20, seed=seed)
-        fast = Engine(schema, program, EvalConfig(seminaive=True))
-        slow = Engine(schema, program, EvalConfig(seminaive=False))
+        fast = Engine(schema, program, EvalConfig())
+        slow = Engine(schema, program, REFERENCE)
         assert fast.run(edb) == slow.run(edb)
+        assert fast.stats.used_seminaive
+        assert not slow.stats.used_seminaive
 
     def test_seminaive_declined_for_negation(self):
         schema, program = build("""
@@ -155,7 +158,7 @@ class TestSeminaiveEquivalence:
         rules
           one(a X) <- edge(a X, b Y), ~edge(a Y, b X).
         """)
-        engine = Engine(schema, program, EvalConfig(seminaive=True))
+        engine = Engine(schema, program, EvalConfig())
         engine.run(edges(("x", "y")))
         assert not engine.stats.used_seminaive
 
@@ -168,7 +171,7 @@ class TestSeminaiveEquivalence:
         rules
           c(tag X) <- seed(tag X).
         """)
-        engine = Engine(schema, program, EvalConfig(seminaive=True))
+        engine = Engine(schema, program, EvalConfig())
         edb = FactSet()
         edb.add_association("seed", TupleValue(tag="x"))
         engine.run(edb)
@@ -185,7 +188,7 @@ class TestSeminaiveEquivalence:
         rules
           fan(who X, kids K) <- parent(par X), K = kids(X).
         """)
-        engine = Engine(schema, program, EvalConfig(seminaive=True))
+        engine = Engine(schema, program, EvalConfig())
         edb = FactSet()
         edb.add_association("parent", TupleValue(par="a", chil="b"))
         result = engine.run(edb, Semantics.STRATIFIED)
@@ -196,7 +199,7 @@ class TestSeminaiveEquivalence:
             [r.rule.head.pred for r in stratum] for stratum in strata
         ] == [["__fn_kids"], ["fan"]]
         assert not engine._seminaive_applicable(strata[1])
-        naive = Engine(schema, program, EvalConfig(seminaive=False))
+        naive = Engine(schema, program, REFERENCE)
         assert result == naive.run(edb, Semantics.STRATIFIED)
 
 

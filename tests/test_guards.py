@@ -13,8 +13,10 @@ from repro import (
     parse_program,
 )
 from repro.cli import main
+from repro.engine import guards
 from repro.engine.guards import BUDGET_CODES, value_size
 from repro.errors import EvalBudgetExceeded, NonTerminationError
+from repro.observability import Instrumentation, MetricsRegistry
 from repro.values.complex import (
     MultisetValue,
     SequenceValue,
@@ -52,6 +54,15 @@ def counting_state():
     program = parse_program(COUNTING_RULES)
     edb = FactSet()
     edb.add_association("n", TupleValue(v=1))
+    return schema, program, edb
+
+
+def inventing_state():
+    schema = parse_schema_source(INVENTING_SCHEMA)
+    program = parse_program(INVENTING_RULES)
+    edb = FactSet()
+    for i in range(20):
+        edb.add_association("seed", TupleValue(tag=f"t{i}"))
     return schema, program, edb
 
 
@@ -117,11 +128,7 @@ class TestBudgets:
         assert exc_info.value.budget == "timeout"
 
     def test_max_inventions_trips_at_invention_site(self):
-        schema = parse_schema_source(INVENTING_SCHEMA)
-        program = parse_program(INVENTING_RULES)
-        edb = FactSet()
-        for i in range(20):
-            edb.add_association("seed", TupleValue(tag=f"t{i}"))
+        schema, program, edb = inventing_state()
         guard = ResourceGuard(max_inventions=5)
         engine = Engine(schema, program, EvalConfig(guard=guard))
         with pytest.raises(EvalBudgetExceeded) as exc_info:
@@ -164,6 +171,88 @@ class TestBudgets:
         assert not isinstance(exc, EvalBudgetExceeded)
         assert exc.stats is not None
         assert exc.stats.iterations >= 20
+
+
+#: the kernels a run can take: the default fast path (semi-naive where
+#: the scope allows it), the general in-place path (forced by enabled
+#: instrumentation) and the reference kernel
+KERNELS = ("default", "general", "reference")
+
+
+def kernel_engine(schema, program, kernel):
+    """An unguarded engine on ``kernel``: it runs under the default
+    guard."""
+    obs = Instrumentation(MetricsRegistry()) if kernel == "general" \
+        else None
+    return Engine(schema, program,
+                  EvalConfig(incremental=kernel != "reference"),
+                  instrumentation=obs)
+
+
+class TestDefaultBudgets:
+    """A fact or invention budget left unset resolves to the default,
+    which the one guard enforces like any other budget: the breach is an
+    :class:`EvalBudgetExceeded` naming it, with a consistent snapshot.
+    The defaults are lowered here so the runs stay small."""
+
+    def test_unset_fields_resolve_to_the_defaults(self):
+        guard = ResourceGuard(timeout=5)
+        assert (guard.max_facts, guard.max_inventions) == \
+            (1_000_000, 100_000)
+        assert guard.max_fact_size is None
+        guard.arm()
+        guard.check_iteration(1_000_000, 100_000)  # at the limits
+        with pytest.raises(EvalBudgetExceeded) as exc_info:
+            guard.check_iteration(1_000_001, 0)
+        assert exc_info.value.budget == "max_facts"
+        with pytest.raises(EvalBudgetExceeded) as exc_info:
+            guard.on_invention(100_001)
+        assert exc_info.value.budget == "max_inventions"
+
+    def test_an_unguarded_engine_holds_the_default_guard(self):
+        schema, program, _ = counting_state()
+        engine = Engine(schema, program)
+        assert engine.config.guard is None
+        assert engine.guard == ResourceGuard()
+
+    @pytest.mark.parametrize("semantics", list(Semantics),
+                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_default_fact_budget_breach(self, monkeypatch, kernel,
+                                        semantics):
+        monkeypatch.setattr(guards, "DEFAULT_MAX_FACTS", 12)
+        schema, program, edb = counting_state()
+        engine = kernel_engine(schema, program, kernel)
+        with pytest.raises(EvalBudgetExceeded) as exc_info:
+            engine.run(edb, semantics)
+        exc = exc_info.value
+        assert (exc.budget, exc.limit) == ("max_facts", 12)
+        assert exc.observed > 12
+        assert exc.stats is not None
+        assert exc.iterations == exc.stats.iterations > 0
+        values = sorted(f.value["v"] for f in exc.snapshot.facts_of("n"))
+        # a full prefix 1..k of the counting chain, past the budget
+        assert values == list(range(1, len(values) + 1))
+        assert len(values) == exc.observed
+
+    @pytest.mark.parametrize("semantics", [Semantics.INFLATIONARY,
+                                           Semantics.STRATIFIED],
+                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_default_invention_budget_breach(self, monkeypatch, kernel,
+                                             semantics):
+        monkeypatch.setattr(guards, "DEFAULT_MAX_INVENTIONS", 5)
+        schema, program, edb = inventing_state()
+        engine = kernel_engine(schema, program, kernel)
+        with pytest.raises(EvalBudgetExceeded) as exc_info:
+            engine.run(edb, semantics)
+        exc = exc_info.value
+        assert (exc.budget, exc.limit, exc.observed) == \
+            ("max_inventions", 5, 6)
+        # stopped at an invention site of the first iteration: the
+        # snapshot is the state at its boundary, the EDB
+        assert exc.snapshot == edb
+        assert exc.stats is not None
 
 
 class TestCancellation:
@@ -219,6 +308,29 @@ class TestCliExit3(object):
         assert "iteration(s)" in err
         assert str(src) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [[], ["--reference"],
+                                       ["--timeout", "60"]],
+                             ids=["default", "reference", "timeout"])
+    def test_run_default_fact_budget_is_lg802(self, tmp_path, capsys,
+                                              monkeypatch, flags):
+        monkeypatch.setattr(guards, "DEFAULT_MAX_FACTS", 10)
+        src = self.make_program(tmp_path)
+        assert main(["run", str(src), *flags]) == 3
+        err = capsys.readouterr().err
+        assert "error[LG802]" in err
+        assert "fact budget exceeded" in err
+
+    def test_run_default_invention_budget_is_lg803(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(guards, "DEFAULT_MAX_INVENTIONS", 5)
+        src = tmp_path / "invent.lg"
+        src.write_text(INVENTING_SCHEMA + INVENTING_RULES + "".join(
+            f'  seed(tag "t{i}").\n' for i in range(20)))
+        assert main(["run", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert "error[LG803]" in err
+        assert "oid invention budget exceeded" in err
 
     def test_run_timeout_exits_3(self, tmp_path, capsys):
         src = self.make_program(tmp_path)

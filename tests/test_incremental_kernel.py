@@ -1,9 +1,11 @@
 """Differential property tests for the incremental fixpoint kernel.
 
-``EvalConfig(incremental=True)`` applies deltas in place
+``EvalConfig(incremental=True)`` runs semi-naive rounds where a scope
+allows them and otherwise applies deltas in place
 (:func:`repro.engine.step.apply_deltas_inplace`) with persistent indexes
-and active domains; ``incremental=False`` keeps the copying reference
-implementation.  These tests pin the kernel to the reference:
+and active domains; ``incremental=False`` is the copying reference
+kernel (:data:`tests.kernels.REFERENCE`).  These tests pin the fast
+kernels to the reference:
 
 * 100 randomized flat rule programs (joins, recursion, filters,
   arithmetic, negation, deletion heads over :mod:`repro.workloads`
@@ -15,14 +17,24 @@ implementation.  These tests pin the kernel to the reference:
   enumeration order, which the two kernels do not share).
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro import Engine, EvalConfig, FactSet, Semantics, parse_source
+from repro import (
+    Engine,
+    EvalConfig,
+    FactSet,
+    ResourceGuard,
+    Semantics,
+    parse_source,
+)
 from repro.errors import LogresError
+from repro.observability import Instrumentation, MetricsRegistry
 from repro.values import Oid, TupleValue
 from repro.workloads import random_edges
+from tests.kernels import REFERENCE
 
 SEEDS = range(100)
 
@@ -87,16 +99,19 @@ def random_edb(rng: random.Random) -> FactSet:
                         pred="e", a="a", b="b")
 
 
-def outcome(schema, program, edb, semantics, incremental, seminaive=True):
+def outcome(schema, program, edb, semantics, incremental,
+            instrumented=False):
     """Run one configuration; (status, payload) so that both kernels can
-    be compared even when evaluation legitimately fails."""
-    config = EvalConfig(
+    be compared even when evaluation legitimately fails.  An enabled
+    :class:`Instrumentation` keeps the incremental kernel off the
+    semi-naive path, on the general in-place one."""
+    config = dataclasses.replace(
+        EvalConfig() if incremental else REFERENCE,
         max_iterations=MAX_ITERATIONS,
-        max_facts=50_000,
-        seminaive=seminaive,
-        incremental=incremental,
+        guard=ResourceGuard(max_facts=50_000),
     )
-    engine = Engine(schema, program, config)
+    obs = Instrumentation(MetricsRegistry()) if instrumented else None
+    engine = Engine(schema, program, config, instrumentation=obs)
     try:
         return "ok", engine.run(edb.copy(), semantics)
     except LogresError as exc:
@@ -119,11 +134,11 @@ def test_incremental_matches_reference(seed):
         slow = outcome(schema, program, edb, semantics, incremental=False)
         assert fast[0] == slow[0], (semantics, source, fast, slow)
         assert fast[1] == slow[1], (semantics, source)
-    # the naive (non-semi-naive) inflationary path, incremental vs copying
+    # the general (non-semi-naive) inflationary path, in place vs copying
     fast = outcome(schema, program, edb, Semantics.INFLATIONARY,
-                   incremental=True, seminaive=False)
+                   incremental=True, instrumented=True)
     slow = outcome(schema, program, edb, Semantics.INFLATIONARY,
-                   incremental=False, seminaive=False)
+                   incremental=False)
     assert fast[0] == slow[0] and fast[1] == slow[1], source
 
 
@@ -188,12 +203,13 @@ def test_running_counter_matches_recount(seminaive):
     unit = parse_source(random_program(rng))
     schema, program = unit.schema(), unit.program()
     edb = random_edb(rng)
+    obs = None if seminaive else Instrumentation(MetricsRegistry())
     engine = Engine(
-        schema, program,
-        EvalConfig(max_iterations=MAX_ITERATIONS, seminaive=seminaive,
-                   incremental=True),
+        schema, program, EvalConfig(max_iterations=MAX_ITERATIONS),
+        instrumentation=obs,
     )
     out = engine.run(edb.copy())
+    assert engine.stats.used_seminaive is seminaive
     assert engine.stats.facts_derived == out.count()
     assert engine.stats.time_total > 0.0
     assert len(engine.stats.time_per_iteration) >= 1

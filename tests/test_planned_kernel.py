@@ -14,17 +14,26 @@ reference:
 * stratified negation programs must agree stratum by stratum;
 * oid invention feeding other rule *bodies* must be isomorphic
   (numbering may depend on enumeration order);
-* the reference kernel (``incremental=False``) plans but never runs a
-  compiled body, so it stays an independent specification.
+* the reference kernel (``incremental=False``) never plans, never
+  compiles and never runs semi-naive, under every semantics, so it
+  stays an independent specification.
 """
 
 import random
 
 import pytest
 
-from repro import Engine, EvalConfig, FactSet, Semantics, parse_source
+from repro import (
+    Engine,
+    EvalConfig,
+    FactSet,
+    ResourceGuard,
+    Semantics,
+    parse_source,
+)
 from repro.cli import main
 from repro.errors import LogresError
+from tests.kernels import REFERENCE
 from tests.test_incremental_kernel import (
     MAX_ITERATIONS,
     random_edb,
@@ -43,8 +52,8 @@ ALL_SEMANTICS = (
 def outcome(schema, program, edb, semantics, plan):
     config = EvalConfig(
         max_iterations=MAX_ITERATIONS,
-        max_facts=50_000,
         plan=plan,
+        guard=ResourceGuard(max_facts=50_000),
     )
     engine = Engine(schema, program, config)
     try:
@@ -144,22 +153,41 @@ def refuse_compiling(monkeypatch):
     monkeypatch.setattr("repro.engine.compile.compile_rule", compile_rule)
 
 
+#: the chain's closure below a stratum that reads it under negation:
+#: the default kernel runs it semi-naive per stratum under stratified
+#: semantics and on the general path under inflationary semantics
+NEGATION_SOURCE = CHAIN_SOURCE.replace(
+    "  tc = (a: string, b: string).\n",
+    "  tc = (a: string, b: string).\n  gap = (a: string, b: string).\n",
+) + """
+  gap(a X, b Y) <- e(a X, b X2), e(a Y, b Y2), ~tc(a X, b Y).
+"""
+
+
 @pytest.mark.parametrize("semantics", ALL_SEMANTICS,
                          ids=lambda s: s.value)
 def test_the_reference_kernel_runs_no_compiled_body(semantics,
                                                     monkeypatch):
-    """``incremental=False`` keeps ``plan`` on but compiles nothing: the
-    copying kernel is the generic specification the compiled bodies
-    are checked against."""
-    unit = parse_source(CHAIN_SOURCE)
-    schema, program = unit.schema(), unit.program()
-    default = Engine(schema, program)
-    want = default.run(FactSet(), semantics)
-    assert any(r.compiled is not None for r in default.runtimes)
-    assert want.count("tc") == 6 * 7 // 2
+    """``incremental=False`` plans nothing, compiles nothing and never
+    runs semi-naive, under every semantics: the copying kernel is the
+    generic specification the fast paths are checked against."""
+    default_runs = []
+    for source in (CHAIN_SOURCE, NEGATION_SOURCE):
+        unit = parse_source(source)
+        schema, program = unit.schema(), unit.program()
+        default = Engine(schema, program)
+        want = default.run(FactSet(), semantics)
+        assert any(r.compiled is not None for r in default.runtimes)
+        assert want.count("tc") == 6 * 7 // 2
+        default_runs.append((schema, program, want))
     refuse_compiling(monkeypatch)
-    reference = Engine(schema, program, EvalConfig(incremental=False))
-    assert reference.run(FactSet(), semantics) == want
+    for schema, program, want in default_runs:
+        reference = Engine(schema, program, REFERENCE)
+        assert reference.run(FactSet(), semantics) == want
+        assert not reference.stats.used_seminaive
+        assert reference.plans == []
+        assert all(r.plan is None and r.compiled is None
+                   for r in reference.runtimes)
 
 
 def test_repro_run_reference_compiles_nothing(tmp_path, capsys,

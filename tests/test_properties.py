@@ -10,7 +10,8 @@ Covered properties:
   laws;
 * serialization — value / fact-set / rule round-trips;
 * engine — LOGRES evaluation of random positive flat programs agrees
-  with the independent Datalog baseline; semi-naive agrees with naive;
+  with the independent Datalog baseline; semi-naive agrees with the
+  reference kernel;
   determinacy up to oid renaming on the invention fragment;
 * powerset — |power(R)| = 2^|R| for random small relations.
 """
@@ -47,6 +48,7 @@ from repro.types.descriptors import (
     TupleType,
 )
 from repro.values import Oid
+from tests.kernels import REFERENCE
 
 # ---------------------------------------------------------------------------
 # value strategies
@@ -266,8 +268,8 @@ class TestEngineAgreesWithBaseline:
         edb = FactSet()
         for a, b in edges:
             edb.add_association("e", TupleValue(a=a, b=b))
-        fast = Engine(schema, program, EvalConfig(seminaive=True))
-        slow = Engine(schema, program, EvalConfig(seminaive=False))
+        fast = Engine(schema, program, EvalConfig())
+        slow = Engine(schema, program, REFERENCE)
         assert fast.run(edb) == slow.run(edb)
 
 

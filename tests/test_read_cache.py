@@ -6,7 +6,7 @@ without ``"rules"``, ``check``) answer from it (``docs/SERVE.md``).
 The properties:
 
 * every ``run``/``check`` answer equals a fresh reference-kernel
-  materialization (``EvalConfig(incremental=False, plan=False)``) of
+  materialization (``EvalConfig(incremental=False)``) of
   the state at the same ``applied_seq``, across random interleavings
   of committed, rejected, rolled-back and never-logged writes under
   all three semantics;
@@ -25,7 +25,8 @@ import threading
 import pytest
 
 from repro.constraints.checker import ConsistencyChecker
-from repro.engine import EvalConfig, Semantics
+from repro.engine import Semantics
+from repro.engine.guards import ResourceGuard
 from repro.errors import LogresError
 from repro.modules.module import Mode
 from repro.modules.state import materialize
@@ -34,9 +35,14 @@ from repro.observability import MetricsRegistry
 from repro.server import ReproServer, ServerConfig, TenantLimits
 from repro.server.http import _answer, _render_answers, _run_payload
 from repro.server.loadgen import post_json
-from repro.server.registry import DatabaseRegistry, Materialized
+from repro.server.registry import (
+    DatabaseRegistry,
+    Materialized,
+    _guard_limits,
+)
 from repro.testing import FAULTS
 from repro.values.oids import OidGenerator
+from tests.kernels import REFERENCE
 
 SOURCE = """
 associations
@@ -68,7 +74,6 @@ rules
   tag(self T, n X) <- person(n X).
 """
 
-REFERENCE = EvalConfig(incremental=False, plan=False)
 NAMES = [f"p{i}" for i in range(8)]
 DB = "demo"
 DB_LABELS = (("db", DB),)
@@ -467,3 +472,23 @@ class TestBudgets:
     def test_covers(self, held, asked, covered):
         entry = Materialized(0, held, None, (), None)
         assert entry.covers(asked) is covered
+
+    def test_unset_guard_fields_resolve_to_the_engine_defaults(self):
+        """An unguarded run and a guard with only a timeout both run
+        under the default fact and invention budgets, so they hold the
+        same limits, and an entry filled under them covers exactly
+        the requests no tighter than those defaults."""
+        defaults = _guard_limits(None)
+        assert defaults == (1_000_000, 100_000, None)
+        assert _guard_limits(ResourceGuard()) == defaults
+        assert _guard_limits(ResourceGuard(timeout=5)) == defaults
+        entry = Materialized(0, defaults, None, (), None)
+        for guard, covered in [
+            (None, True),
+            (ResourceGuard(timeout=1e-6), True),
+            (ResourceGuard(max_facts=2_000_000), True),
+            (ResourceGuard(max_facts=500_000), False),
+            (ResourceGuard(max_inventions=50_000), False),
+            (ResourceGuard(max_fact_size=3), False),
+        ]:
+            assert entry.covers(_guard_limits(guard)) is covered, guard

@@ -12,7 +12,7 @@ properties:
   and with active-domain variables, positive recursion, non-recursive
   inventing strata, bound-oid class heads — evaluate under every fast
   configuration to exactly the reference kernel's instance
-  (``EvalConfig(seminaive=False, incremental=False, plan=False)``), or
+  (:data:`tests.kernels.REFERENCE`, ``EvalConfig(incremental=False)``), or
   to an isomorphic one when the program invents oids; a run that fails
   fails with the same error in both;
 * the same for inflationary programs whose negations read only
@@ -25,6 +25,7 @@ properties:
 * the iteration budget counts per stratum, as on the general path.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -34,11 +35,11 @@ from repro import Engine, EvalConfig, FactSet, Semantics, parse_source
 from repro.engine.guards import ResourceGuard
 from repro.errors import EvalBudgetExceeded, LogresError, NonTerminationError
 from repro.values import Oid, TupleValue
+from tests.kernels import REFERENCE as SPECIFICATION
 
 NODES = [f"n{i}" for i in range(6)]
-LIMITS = dict(max_iterations=60, max_facts=20_000)
-REFERENCE = EvalConfig(seminaive=False, incremental=False, plan=False,
-                       **LIMITS)
+LIMITS = dict(max_iterations=60, guard=ResourceGuard(max_facts=20_000))
+REFERENCE = dataclasses.replace(SPECIFICATION, **LIMITS)
 FAST = {
     "default": EvalConfig(**LIMITS),
     "unplanned": EvalConfig(plan=False, **LIMITS),

@@ -14,7 +14,7 @@ fields) and outside it (negation, isa, oid invention):
 * the oid generator, the live state and the WAL ``post`` fingerprints
   match that twin run;
 * the held and the served instance equal a reference-kernel
-  (``incremental=False, plan=False``) materialization at every seq;
+  (``incremental=False``) materialization at every seq;
 * reopening the directory reproduces the fingerprints, the oid
   generator and the held entry.
 """
@@ -35,6 +35,7 @@ from repro.server.registry import DatabaseRegistry, ManagedDatabase
 from repro.testing import FAULTS
 from repro.testing.faults import InjectedFault
 from repro.values.oids import OidGenerator
+from tests.kernels import REFERENCE
 
 BASE_SCHEMA = """
 classes
@@ -84,7 +85,6 @@ INVENTION = POSITIVE + """
 PROGRAMS = {"positive": POSITIVE, "negation": NEGATION, "isa": ISA,
             "invention": INVENTION}
 
-REFERENCE = EvalConfig(incremental=False, plan=False)
 NAMES = [f"p{i}" for i in range(6)]
 LABELS = [f"n{i}" for i in range(4)]
 EXTRA_RULE = "rules\n  person(n X) <- parent(par X, chil Y).\n"
