@@ -13,9 +13,9 @@ A second, deliberately under-provisioned server (max-concurrent 1,
 queue-depth 1) then takes a burst of concurrent requests to demonstrate
 the overload contract: at least one request is shed with
 429 + ``Retry-After``, every admitted request completes, and nothing
-hangs — the acceptance criterion of the serve PR, exercised on every
-run, and enforced by ``check_regression.py --serve-gate`` over the
-committed history.
+hangs, on every run.  The trend section of ``check_regression.py``
+gates the committed p95 history with every other ``BENCH_*.json``
+series.
 
 Usage::
 

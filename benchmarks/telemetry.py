@@ -14,7 +14,7 @@ Two persistent artifacts fall out of every benchmark session
   workload (transitive closure over the E01 generator), written to
   ``benchmarks/results/run_report.json``.  ``repro diff`` against the
   committed ``benchmarks/report_baseline.json`` is the behavioural
-  regression gate (``benchmarks/check_regression.py --reports``):
+  regression gate (section (a) of ``benchmarks/check_regression.py``):
   count columns are deterministic and machine-portable, so any count
   delta on an unchanged program is a real regression.
 
@@ -155,36 +155,13 @@ def _plan_gate_workload():
     return schema, program, edb
 
 
-def plan_gate_times(reps: int = 3) -> tuple[float, float]:
-    """``(plan_on_min_s, plan_off_min_s)`` over ``reps`` interleaved
-    runs of the gate workload, asserting identical instances — the
-    measurement behind the >= 5x acceptance gate."""
-    import time as _time
-
-    from benchmarks.conftest import run_logres
-
-    schema, program, edb = _plan_gate_workload()
-    on_times, off_times = [], []
-    for _ in range(max(1, reps)):
-        t0 = _time.perf_counter()
-        off = run_logres(schema, program, edb, plan=False)
-        off_times.append(_time.perf_counter() - t0)
-        t0 = _time.perf_counter()
-        on = run_logres(schema, program, edb, plan=True)
-        on_times.append(_time.perf_counter() - t0)
-        if on != off:
-            raise AssertionError(
-                "plan=on and plan=off disagree on the gate workload"
-            )
-    return min(on_times), min(off_times)
-
-
 class _CountingSink:
     """The cheapest possible event sink: counts emits, keeps nothing.
 
-    Both telemetry-gate variants write their events *somewhere*; using
-    the same trivial sink on both sides makes the measured delta pure
-    bus fan-out (lock, ring, subscriber queues), not serialization.
+    Both sides of the bus / sink predicate write their events
+    *somewhere*; using the same trivial sink on both sides makes the
+    measured delta pure bus fan-out (lock, ring, subscriber queues),
+    not serialization.
     """
 
     def __init__(self):
@@ -210,74 +187,6 @@ def _instrumented_run(schema, program, edb, sink):
     instance = engine.run(edb, Semantics.INFLATIONARY)
     obs.close()
     return instance
-
-
-def telemetry_gate_times(
-    reps: int = 3,
-) -> tuple[list[float], list[float], list[float]]:
-    """``(plain_times, sink_times, bus_times)`` for the gate workload.
-
-    Three interleaved variants of E01 at 1000 edges, ``reps`` runs
-    each:
-
-    * **plain** — NULL instrumentation, the production fast path
-      (identical configuration to ``test_logres_plan_on[1000]``);
-    * **sink** — full event emission into a do-nothing counting sink;
-    * **bus** — the same events through an :class:`EventBus` carrying
-      the counting sink as an attached sink *plus* one live subscriber
-      (the shape a ``repro tail`` attachment produces).
-
-    The gate compares sink and bus *within* each rep (back-to-back
-    runs).  Each rep times the pair in **both orders** (sink-bus, then
-    bus-sink): machine-load drift inflates one ordering and deflates
-    its mirror, so across the 2 x ``reps`` pairs the drift lands
-    symmetrically and the median ratio is a robust estimate of the
-    true fan-out cost — a real bus regression still inflates every
-    pair.  All three variants must compute the same instance.
-    """
-    import time as _time
-
-    from benchmarks.conftest import run_logres
-    from repro.observability.bus import EventBus
-
-    def timed_sink():
-        t0 = _time.perf_counter()
-        out = _instrumented_run(schema, program, edb, _CountingSink())
-        sink_times.append(_time.perf_counter() - t0)
-        return out
-
-    def timed_bus():
-        bus = EventBus()
-        bus.attach_sink(_CountingSink())
-        sub = bus.subscribe(name="gate-tail")
-        t0 = _time.perf_counter()
-        out = _instrumented_run(schema, program, edb, bus)
-        bus_times.append(_time.perf_counter() - t0)
-        sub.close()
-        return out
-
-    schema, program, edb = _plan_gate_workload()
-    # one untimed warmup: the first evaluation pays import, allocator
-    # and index-build warmup that would otherwise land on the first
-    # timed variant and skew the cheap uninstrumented measurement
-    run_logres(schema, program, edb, plan=True)
-    plain_times, sink_times, bus_times = [], [], []
-    for _ in range(max(1, reps)):
-        t0 = _time.perf_counter()
-        plain = run_logres(schema, program, edb, plan=True)
-        plain_times.append(_time.perf_counter() - t0)
-
-        sink_out = timed_sink()
-        bus_out = timed_bus()
-        bus_out2 = timed_bus()
-        sink_out2 = timed_sink()
-
-        if not (plain == sink_out == bus_out
-                == bus_out2 == sink_out2):
-            raise AssertionError(
-                "telemetry gate variants disagree on the workload"
-            )
-    return plain_times, sink_times, bus_times
 
 
 def bus_throughput(events: int = 50_000) -> float:

@@ -14,8 +14,8 @@ Series (group ``e11-telemetry`` → ``BENCH_e11.json`` rows):
     attached sink and one subscriber (``extra_info["events_per_sec"]``);
   * ``test_e01_instrumented_sink`` / ``test_e01_instrumented_bus`` —
     the instrumented E01 1k-edge run with a bare counting sink vs the
-    same run published through the bus; their ratio is what
-    ``check_regression.py --telemetry-gate`` bounds at 5%;
+    same run published through the bus; their ratio is what a paired
+    ratio predicate of ``check_regression.py`` bounds at 5%;
   * ``test_e01_disabled`` — the NULL-instrumentation run, the
     disabled-path ≈0 reference.
 """

@@ -723,7 +723,6 @@ def cmd_bench_report(args) -> int:
 
     from repro.observability.trend import (
         TrendStore,
-        find_regressions,
         render_trend_text,
         trend_prometheus,
         trend_report,
@@ -745,11 +744,7 @@ def cmd_bench_report(args) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(render_trend_text(report), end="")
-    regressions = find_regressions(
-        store, threshold=args.threshold, min_time_ms=args.min_time_ms,
-        window=args.window, min_points=args.min_points,
-    )
-    return 1 if regressions else 0
+    return 1 if report["regressions"] else 0
 
 
 def cmd_serve(args) -> int:

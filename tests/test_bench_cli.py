@@ -61,15 +61,17 @@ class TestBenchCommand:
 
 
 class TestBenchReport:
-    def _history(self, tmp_path, mins, name="reach[40]"):
-        config = {"kernel": "compiled", "semantics": "inflationary"}
-        with open(tmp_path / "BENCH_reach.json", "w") as f:
+    def _history(self, tmp_path, mins, name="reach[40]", exp="reach",
+                 config=None):
+        config = config or {"kernel": "compiled",
+                            "semantics": "inflationary"}
+        with open(tmp_path / f"BENCH_{exp}.json", "w") as f:
             for i, ms in enumerate(mins):
                 f.write(json.dumps({
                     "schema_version": SCHEMA_VERSION,
                     "kind": "bench-row", "ts": float(i),
-                    "session": f"s{i}", "exp": "reach",
-                    "group": "bench-reach", "name": name,
+                    "session": f"s{i}", "exp": exp,
+                    "group": f"bench-{exp}", "name": name,
                     "min_ms": ms, "mean_ms": ms, "stddev_ms": 0.0,
                     "rounds": 1, "config": config,
                 }) + "\n")
@@ -120,37 +122,40 @@ class TestBenchReport:
         assert "no trend regressions" in capsys.readouterr().out
 
 
+def _check_trend(root):
+    import sys
+
+    sys.path.insert(0, ".")
+    try:
+        from benchmarks.check_regression import check_trend
+    finally:
+        sys.path.pop(0)
+    return check_trend(root)
+
+
 class TestBenchGateScript:
+    """Section (c) of benchmarks/check_regression.py: the trend pass."""
+
     def test_check_regression_bench_gate(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, ".")
-        try:
-            from benchmarks.check_regression import main as gate_main
-        finally:
-            sys.path.pop(0)
-
         TestBenchReport._history(
             TestBenchReport(), tmp_path, [10.0, 10.4, 9.9, 10.1])
-        assert gate_main(["--bench-gate",
-                          "--bench-root", str(tmp_path)]) == 0
-        capsys.readouterr()
+        assert _check_trend(tmp_path) == 0
+        assert "no trend regressions" in capsys.readouterr().out
         TestBenchReport._history(
             TestBenchReport(), tmp_path, [10.0, 10.4, 9.9, 44.0])
-        assert gate_main(["--bench-gate",
-                          "--bench-root", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "trend regression" in err
+        assert _check_trend(tmp_path) == 1
+        assert "TREND REGRESSIONS (1)" in capsys.readouterr().out
+
+    def test_slowed_serve_row_fails(self, tmp_path, capsys):
+        config = {"clients": 4, "family": "reach", "scale": 400,
+                  "metric": "p95_request_latency", "requests": 20,
+                  "write_ratio": 0.25}
+        TestBenchReport._history(
+            TestBenchReport(), tmp_path, [500.0, 470.0, 520.0, 2500.0],
+            name="reach[c4x20]", exp="serve", config=config)
+        assert _check_trend(tmp_path) == 1
+        assert "serve/reach[c4x20]" in capsys.readouterr().out
 
     def test_gate_on_empty_root_passes(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, ".")
-        try:
-            from benchmarks.check_regression import main as gate_main
-        finally:
-            sys.path.pop(0)
-
-        assert gate_main(["--bench-gate",
-                          "--bench-root", str(tmp_path)]) == 0
+        assert _check_trend(tmp_path) == 0
         assert "vacuously" in capsys.readouterr().out

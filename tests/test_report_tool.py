@@ -1,4 +1,5 @@
-"""Tests for the benchmark report renderer (benchmarks/report.py)."""
+"""Tests for the benchmark report renderer (benchmarks/report.py) and
+the paired ratio predicates of benchmarks/check_regression.py."""
 
 import json
 import pathlib
@@ -6,7 +7,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from benchmarks.check_regression import best_of, compare, extract  # noqa: E402
+import pytest  # noqa: E402
+
+from benchmarks.check_regression import paired_ratio  # noqa: E402
 from benchmarks.report import render  # noqa: E402
 
 
@@ -56,54 +59,69 @@ class TestRender:
         assert "generated by" in out
 
 
+class FakeClock:
+    """A clock that only the timed variants advance."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def variant(clock, log, tag, durations, result="instance"):
+    """A timed variant: logs its tag, advances the clock by its next
+    scripted duration (the warmup call takes 0) and returns ``result``."""
+    script = iter([0.0, *durations])
+
+    def run():
+        log.append(tag)
+        clock.now += next(script)
+        return result
+
+    return run
+
+
 class TestCheckRegression:
-    """Compare logic of benchmarks/check_regression.py."""
+    """paired_ratio: the measurement behind every ratio predicate."""
 
-    def bench(self, name, group, min_s):
-        return {
-            "name": name,
-            "group": group,
-            "stats": {"mean": min_s * 1.2, "min": min_s, "rounds": 5},
-        }
+    def test_order_alternates_pair_to_pair(self):
+        clock, log = FakeClock(), []
+        num = variant(clock, log, "n", [2.0] * 4)
+        den = variant(clock, log, "d", [1.0] * 4)
+        paired_ratio(num, den, pairs=4, clock=clock)
+        assert log[:2] == ["n", "d"]  # untimed warmup
+        assert log[2:] == ["n", "d", "d", "n", "n", "d", "d", "n"]
 
-    def test_extract_keeps_only_guarded_groups(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"benchmarks": [
-            self.bench("tc[50]", "e01-transitive-closure", 0.01),
-            self.bench("other", "e02-powerset", 0.02),
-        ]}))
-        current = extract(path)
-        assert set(current) == {"tc[50]"}
-        assert current["tc[50]"]["min"] == 0.01
+    def test_median_over_pairs(self):
+        clock, log = FakeClock(), []
+        num = variant(clock, log, "n", [5.0, 4.0, 9.0, 6.0, 5.5])
+        den = variant(clock, log, "d", [1.0, 1.0, 1.0, 2.0, 1.0])
+        median, ratios = paired_ratio(num, den, pairs=5, clock=clock)
+        # each ratio pairs a variant's timings whatever ran first
+        assert ratios == [5.0, 4.0, 9.0, 3.0, 5.5]
+        assert median == 5.0
 
     def test_within_threshold_passes(self):
-        baseline = {"tc": {"group": "e01", "min": 0.010, "mean": 0.012}}
-        current = {"tc": {"group": "e01", "min": 0.012, "mean": 0.014}}
-        _, failures = compare(baseline, current, threshold=0.25)
-        assert failures == []
+        # one pair hit by load does not move the median past the bound
+        clock, log = FakeClock(), []
+        median, _ = paired_ratio(
+            variant(clock, log, "n", [1.02] * 9 + [2.0]),
+            variant(clock, log, "d", [1.0] * 10), clock=clock)
+        assert median == pytest.approx(1.02) and median <= 1.05
 
     def test_regression_over_threshold_fails(self):
-        baseline = {"tc": {"group": "e01", "min": 0.010, "mean": 0.012}}
-        current = {"tc": {"group": "e01", "min": 0.014, "mean": 0.016}}
-        _, failures = compare(baseline, current, threshold=0.25)
-        assert len(failures) == 1 and "tc" in failures[0]
+        # a real slowdown moves most pairs, and so the median
+        clock, log = FakeClock(), []
+        median, ratios = paired_ratio(
+            variant(clock, log, "n", [1.0] * 3 + [1.2] * 7),
+            variant(clock, log, "d", [1.0] * 10), clock=clock)
+        assert len(ratios) == 10
+        assert median == pytest.approx(1.2) and median > 1.05
 
-    def test_missing_benchmark_fails(self):
-        baseline = {"tc": {"group": "e01", "min": 0.010, "mean": 0.012}}
-        _, failures = compare(baseline, {}, threshold=0.25)
-        assert len(failures) == 1
-
-    def test_new_benchmark_reported_not_failed(self):
-        current = {"tc": {"group": "e01", "min": 0.010, "mean": 0.012}}
-        lines, failures = compare({}, current, threshold=0.25)
-        assert failures == []
-        assert any("new" in line for line in lines)
-
-    def test_best_of_takes_fastest_entry_per_benchmark(self):
-        run1 = {"tc": {"group": "e01", "min": 0.014, "mean": 0.016},
-                "only1": {"group": "e01", "min": 0.005, "mean": 0.006}}
-        run2 = {"tc": {"group": "e01", "min": 0.010, "mean": 0.020}}
-        best = best_of([run1, run2])
-        assert best["tc"]["min"] == 0.010
-        assert best["tc"]["mean"] == 0.020  # whole entry, not field-wise
-        assert best["only1"]["min"] == 0.005
+    def test_disagreeing_instance_raises(self):
+        clock, log = FakeClock(), []
+        num = variant(clock, log, "n", [1.0] * 3, result="closure")
+        den = variant(clock, log, "d", [1.0] * 3, result="other")
+        with pytest.raises(AssertionError, match="different instances"):
+            paired_ratio(num, den, pairs=3, clock=clock)
