@@ -214,7 +214,6 @@ def _run_instrumentation(args):
         Instrumentation,
         MetricsRegistry,
         StreamHeader,
-        StreamingMetrics,
         render_prometheus,
     )
 
@@ -239,13 +238,10 @@ def _run_instrumentation(args):
             server = serve_telemetry(bus, telemetry)
     if heartbeat is None and telemetry:
         heartbeat = 0.5  # a live attach wants liveness by default
-    metrics = None
-    if need_metrics:
-        # --prom-out upgrades to the streaming registry: windowed rates
-        # and real histogram buckets in the exposition
-        metrics = StreamingMetrics() if prom_out else MetricsRegistry()
+    # one registry whatever the output flags: --prom-out only picks
+    # another rendering of the same metrics
     obs = Instrumentation(
-        metrics=metrics,
+        metrics=MetricsRegistry() if need_metrics else None,
         sink=sink,
         source_file=args.file,
         heartbeat_interval=heartbeat,
@@ -865,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--prom-out", metavar="FILE",
         help="write run metrics in Prometheus text exposition format"
-             " (windowed rates and histogram buckets included)",
+             " (the metrics --metrics-out dumps, histograms as buckets)",
     )
     p_run.add_argument(
         "--heartbeat", type=float, metavar="SECONDS",

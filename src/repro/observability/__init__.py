@@ -4,8 +4,9 @@ The instrumentation subsystem Section 5 promises ("tools supporting the
 design, debugging, and monitoring of LOGRES databases and programs"),
 built dependency-free:
 
-* :mod:`repro.observability.metrics` — counters / gauges / histograms
-  keyed by (rule, stratum, predicate);
+* :mod:`repro.observability.metrics` — the one registry: counters,
+  gauges and streaming p50/p95/p99 histograms keyed by (rule, stratum,
+  predicate), and the Prometheus text exposition;
 * :mod:`repro.observability.events` — the :class:`EngineEvent` stream
   (run / stratum / iteration / rule-fire / invention / deletion /
   constraint-violation), JSONL round-trippable;
@@ -26,8 +27,6 @@ built dependency-free:
 * :mod:`repro.observability.bus` — the bounded in-process pub/sub
   :class:`EventBus` every sink and live consumer rides, with
   per-subscriber filters, retention replay and drop accounting;
-* :mod:`repro.observability.timeseries` — windowed counters, streaming
-  p50/p95/p99 histograms and the Prometheus text exposition;
 * :mod:`repro.observability.telemetry_server` — the Unix-socket NDJSON
   attach surface of ``repro run --telemetry-listen``;
 * :mod:`repro.observability.tail` — the ``repro tail`` reader and live
@@ -77,10 +76,11 @@ from repro.observability.instrument import (
     Instrumentation,
 )
 from repro.observability.metrics import (
-    HistogramSummary,
     IndexStats,
     MetricsRegistry,
+    StreamingHistogram,
     labels,
+    render_prometheus,
 )
 from repro.observability.sink import (
     NULL_SINK,
@@ -91,12 +91,6 @@ from repro.observability.sink import (
     NullSink,
     TextSink,
     read_jsonl,
-)
-from repro.observability.timeseries import (
-    StreamingHistogram,
-    StreamingMetrics,
-    WindowedCounter,
-    render_prometheus,
 )
 from repro.observability.timing import PhaseTimer
 from repro.observability.trend import (
@@ -121,7 +115,6 @@ __all__ = [
     "EventSink",
     "FactDeleted",
     "Heartbeat",
-    "HistogramSummary",
     "IndexStats",
     "Instrumentation",
     "IterationFinished",
@@ -143,12 +136,10 @@ __all__ = [
     "StratumStarted",
     "StreamHeader",
     "StreamingHistogram",
-    "StreamingMetrics",
     "TextSink",
     "TraceContext",
     "TrendSeries",
     "TrendStore",
-    "WindowedCounter",
     "append_bench_rows",
     "build_filter",
     "find_regressions",

@@ -101,9 +101,9 @@ class Instrumentation:
         self._run_span: str | None = None
         self._stratum_span: str | None = None
         self._iter_span: str | None = None
-        # per-rule cached (labels, repr, line, column)
+        # per-rule cached (labels, repr, line, column, counter series)
         self._rule_meta: dict[int, tuple[Labels, str, int | None,
-                                         int | None]] = {}
+                                         int | None, dict]] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -143,11 +143,23 @@ class Instrumentation:
         meta = self._rule_meta.get(runtime.index)
         if meta is None:
             span = runtime.rule.span
+            ls = (("rule", str(runtime.index)),)
+            # the counter keys one valuation bumps, built once per rule so
+            # rule_fired takes the registry lock once per write, not per key
+            series = {
+                "duplicate": (("rule_valuations", ls),
+                              ("rule_duplicates", ls)),
+                "matched": (("rule_valuations", ls),
+                            ("rule_valuations_matched", ls)),
+                "derived": (("rule_fires", ls), ("rule_facts_derived", ls)),
+                "deleted": (("rule_fires", ls), ("rule_facts_deleted", ls)),
+            }
             meta = (
-                (("rule", str(runtime.index)),),
+                ls,
                 repr(runtime.rule),
                 span.line if span else None,
                 span.column if span else None,
+                series,
             )
             self._rule_meta[runtime.index] = meta
         return meta
@@ -290,21 +302,18 @@ class Instrumentation:
         deleted: bool,
     ) -> None:
         """One body valuation reached the head: record its contribution."""
-        rule_labels, rule_repr, line, column = self._meta(runtime)
+        _, rule_repr, line, column, series = self._meta(runtime)
         m = self.metrics
         if m is not None:
-            m.inc("rule_valuations", rule_labels)
             if contributed:
-                m.inc("rule_valuations_matched", rule_labels)
-                m.inc("rule_fires", rule_labels, len(contributed))
-                name = ("rule_facts_deleted" if deleted
-                        else "rule_facts_derived")
-                m.inc(name, rule_labels, len(contributed))
+                m.inc_series(series["matched"])
+                m.inc_series(series["deleted" if deleted else "derived"],
+                             len(contributed))
                 for fact in contributed:
                     m.inc("pred_facts_contributed",
                           (("pred", fact.pred),))
             else:
-                m.inc("rule_duplicates", rule_labels)
+                m.inc_series(series["duplicate"])
         if self.emit_events and contributed:
             cls = FactDeleted if deleted else RuleFired
             run_id, span_id, parent = self._point()
@@ -334,7 +343,7 @@ class Instrumentation:
             self.metrics.observe("rule_time", rule_labels, elapsed)
 
     def invention(self, runtime: "RuleRuntime", oid) -> None:
-        rule_labels, rule_repr, line, column = self._meta(runtime)
+        rule_labels, rule_repr, line, column, _ = self._meta(runtime)
         if self.metrics is not None:
             self.metrics.inc("rule_inventions", rule_labels)
         if self.emit_events:
@@ -412,9 +421,6 @@ class Instrumentation:
         out["phases"] = self.timer.to_dict()
         if self.trace is not None:
             out["run_id"] = self.trace.run_id
-        timeseries = getattr(self.metrics, "timeseries_snapshot", None)
-        if timeseries is not None:
-            out["timeseries"] = timeseries()
         return out
 
     def flush(self) -> None:

@@ -42,7 +42,7 @@ class RunReport:
     rules: list[dict] = field(default_factory=list)
     phases: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
-    #: the active EvalConfig switches (kernel/plan/seminaive/use_indexes)
+    #: the active EvalConfig switches (kernel/plan/use_indexes)
     config: dict = field(default_factory=dict)
     #: planner output, one dict per fixpoint scope (empty when plan=off)
     plans: list[dict] = field(default_factory=list)

@@ -15,9 +15,9 @@ reader and writer of that history:
   in the file are preserved verbatim;
 * :class:`TrendStore` — all historical rows folded into per-
   ``(exp, name, config)`` series, each backed by a
-  :class:`~repro.observability.timeseries.StreamingHistogram` of its
-  min-times, so quantiles come from the PR 8 streaming machinery
-  rather than per-sample storage;
+  :class:`~repro.observability.metrics.StreamingHistogram` of its
+  min-times, so quantiles come from the registry's streaming
+  histograms rather than per-sample storage;
 * :func:`find_regressions` / :func:`trend_report` — the trend gate:
   a series regresses when its latest min-time exceeds the rolling
   median of the preceding window by more than ``threshold`` *and* by
@@ -40,9 +40,9 @@ from repro.observability.events import (
     new_run_id,
     payload_header,
 )
-from repro.observability.timeseries import (
+from repro.observability.metrics import (
+    MetricsRegistry,
     StreamingHistogram,
-    StreamingMetrics,
     render_prometheus,
 )
 
@@ -394,7 +394,7 @@ def trend_prometheus(store: TrendStore,
                      window: int = DEFAULT_WINDOW) -> str:
     """The store as a Prometheus exposition: per-series latest/baseline
     gauges plus the full streaming min-time histograms."""
-    registry = StreamingMetrics()
+    registry = MetricsRegistry()
     for series in store.ordered():
         config = series.config if isinstance(series.config, dict) else {}
         labels = (

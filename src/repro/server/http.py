@@ -61,8 +61,8 @@ from repro.modules.module import Mode
 from repro.modules.state import materialize
 from repro.observability import (
     EventBus,
+    MetricsRegistry,
     ServerRequest,
-    StreamingMetrics,
     new_run_id,
     payload_header,
     render_prometheus,
@@ -105,7 +105,7 @@ class ReproServer:
 
     def __init__(self, config: ServerConfig, bus: EventBus | None = None):
         self.config = config
-        self.metrics = StreamingMetrics()
+        self.metrics = MetricsRegistry()
         self.registry = DatabaseRegistry(
             config.data_dir, snapshot_interval=config.snapshot_interval,
             metrics=self.metrics,

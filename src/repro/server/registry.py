@@ -316,12 +316,11 @@ class ManagedDatabase:
                 state = self._copy_state()
                 held = None
         if self.metrics is not None:
-            with self._materialized_lock:  # inc is read-modify-write
-                self.metrics.inc(
-                    "server_read_cache_misses" if held is None
-                    else "server_read_cache_hits",
-                    (("db", self.name),),
-                )
+            self.metrics.inc(
+                "server_read_cache_misses" if held is None
+                else "server_read_cache_hits",
+                (("db", self.name),),
+            )
         if held is not None:
             if guard is not None:
                 guard.check_iteration()

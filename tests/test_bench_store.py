@@ -2,9 +2,10 @@
 
 The trend gate keys each series by the row's exact ``config``; a config
 field added or removed without re-seeding ``BENCH_e01.json`` /
-``BENCH_a01.json`` leaves every fresh row a new series with one point,
-which can never flag.  These tests pin the committed store to the
-configs ``benchmarks/conftest.eval_config_info`` emits now.
+``BENCH_a01.json`` / ``BENCH_e11.json`` leaves every fresh row a new
+series with one point, which can never flag.  These tests pin the
+committed store to the configs ``benchmarks/conftest.eval_config_info``
+emits now.
 """
 
 import pathlib
@@ -26,7 +27,8 @@ from repro.observability.trend import (  # noqa: E402
 
 
 def expected_series() -> dict[tuple, object]:
-    """``{(exp, name): config}`` for every E01/A01 timing benchmark."""
+    """``{(exp, name): config}`` for every E01/A01/E11 timing
+    benchmark."""
     out: dict[tuple, object] = {}
     for n in e01.SIZES:
         out["e01", f"test_logres_seminaive[{n}]"] = eval_config_info()
@@ -41,6 +43,10 @@ def expected_series() -> dict[tuple, object]:
     for n in a01.SIZES:
         for kind in ("indexed", "scan"):
             out["a01", f"test_indexing[{kind}-{n}]"] = None
+    out["e11", "test_e01_disabled"] = eval_config_info(plan=True)
+    for name in ("test_bus_publish_throughput", "test_e01_instrumented_sink",
+                 "test_e01_instrumented_bus"):
+        out["e11", name] = None
     return out
 
 
@@ -50,7 +56,7 @@ def committed_rows(exp: str) -> list[dict]:
     return rows
 
 
-@pytest.mark.parametrize("exp", ["e01", "a01"])
+@pytest.mark.parametrize("exp", ["e01", "a01", "e11"])
 def test_latest_session_carries_todays_configs(exp):
     rows = committed_rows(exp)
     latest = rows[-1]["session"]
@@ -63,7 +69,7 @@ def test_latest_session_carries_todays_configs(exp):
     assert measured == expected
 
 
-@pytest.mark.parametrize("exp", ["e01", "a01"])
+@pytest.mark.parametrize("exp", ["e01", "a01", "e11"])
 def test_every_series_has_a_rolling_median(exp):
     # a fresh CI row makes the series long enough to flag
     points: dict[tuple, int] = {}

@@ -92,6 +92,10 @@ class TestMetricsRegistry:
         snap = reg.snapshot()
         assert snap["counters"] == {"fires{rule=2}": 1}
         assert snap["histograms"]["lat"]["count"] == 1
+        assert set(snap["histograms"]["lat"]) == {
+            "count", "sum", "min", "max", "mean", "p50", "p95", "p99",
+        }
+        assert snap["histograms"]["lat"]["p50"] == 0.5
         json.dumps(snap)  # must be JSON-clean
 
 

@@ -131,6 +131,27 @@ class TestRunObservabilityFlags:
         )
         assert fires == 5
 
+    def test_prom_out_keeps_the_snapshot_shape(self, tc_file, tmp_path,
+                                               capsys):
+        # --prom-out is only another rendering of the one registry: the
+        # --metrics-out snapshot carries the same keys with or without it
+        def shape(*extra):
+            path = tmp_path / "metrics.json"
+            assert main(["run", tc_file, "--metrics-out", str(path),
+                         *extra]) == 0
+            snapshot = json.loads(path.read_text())
+            metrics = snapshot["metrics"]
+            return (
+                sorted(snapshot),
+                {part: sorted(metrics[part]) for part in metrics},
+                {key: sorted(entry)
+                 for key, entry in metrics["histograms"].items()},
+            )
+
+        prom_path = tmp_path / "metrics.prom"
+        assert shape() == shape("--prom-out", str(prom_path))
+        assert "_bucket{" in prom_path.read_text()
+
     def test_plain_run_unchanged(self, tc_file, capsys):
         assert main(["run", tc_file]) == 0
         assert "anc (3):" in capsys.readouterr().out

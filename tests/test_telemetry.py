@@ -3,7 +3,7 @@
 Covers the event bus (fan-out, filters, retention replay, drop
 accounting under a slow subscriber), trace contexts (envelope fields on
 every event type, JSONL round-trip), streaming metrics (histogram
-quantile edge cases, windowed rates, Prometheus exposition), heartbeat
+quantile edge cases, Prometheus exposition), heartbeat
 emission, the Unix-socket telemetry server, and ``repro tail`` against
 both a recorded event file and a live socket.
 """
@@ -11,7 +11,9 @@ both a recorded event file and a live socket.
 import io
 import json
 import os
+import pathlib
 import socket
+import sys
 import threading
 
 import pytest
@@ -28,11 +30,10 @@ from repro.observability import (
     Heartbeat,
     Instrumentation,
     JsonlSink,
+    MetricsRegistry,
     RuleFired,
     StreamingHistogram,
-    StreamingMetrics,
     TraceContext,
-    WindowedCounter,
     build_filter,
     event_from_dict,
     event_to_dict,
@@ -216,8 +217,6 @@ class TestEventBus:
                          "dropped": 6, "capacity": 4}
 
     def test_drops_surface_as_metrics(self):
-        from repro.observability import MetricsRegistry
-
         bus = EventBus()
         bus.subscribe(name="slow", capacity=1)
         for i in range(3):
@@ -307,8 +306,6 @@ class TestEventBus:
         assert bus.stats()["dropped_sinks"] == 1
 
     def test_evicted_sinks_surface_as_metrics(self):
-        from repro.observability import MetricsRegistry
-
         class BrokenSink:
             def emit(self, event):
                 raise OSError("disk gone")
@@ -374,54 +371,17 @@ class TestStreamingHistogram:
             StreamingHistogram(buckets=(2.0, 1.0))
 
 
-class TestWindowedCounter:
-    def test_rate_over_windows(self):
-        now = [0.0]
-        counter = WindowedCounter(window=1.0, keep=10,
-                                  clock=lambda: now[0])
-        for _ in range(10):
-            counter.inc()
-        now[0] = 1.0
-        for _ in range(20):
-            counter.inc()
-        assert counter.total == 30
-        assert counter.rate() == pytest.approx(30.0)
-
-    def test_rate_decays_when_producer_stalls(self):
-        now = [0.0]
-        counter = WindowedCounter(window=1.0, keep=5,
-                                  clock=lambda: now[0])
-        counter.inc(100)
-        now[0] = 100.0  # far past the retained horizon
-        assert counter.rate() == 0.0
-
-
-class TestStreamingMetrics:
-    def test_feeds_windows_and_streams(self):
-        now = [0.0]
-        metrics = StreamingMetrics(clock=lambda: now[0])
-        metrics.inc("rule_fires", (("rule", "0"),))
-        metrics.observe("rule_time", (("rule", "0"),), 0.002)
-        snap = metrics.timeseries_snapshot()
-        assert snap["rates"]["rule_fires{rule=0}"]["total"] == 1
-        assert snap["histograms"]["rule_time{rule=0}"]["count"] == 1
-
-    def test_base_registry_contract_unchanged(self):
-        metrics = StreamingMetrics()
-        metrics.inc("hits", amount=3)
-        assert metrics.counter("hits") == 3
-
-
 class TestPrometheusRendering:
     def test_counters_gauges_and_histograms(self):
-        metrics = StreamingMetrics(buckets=(0.001, 0.1))
+        metrics = MetricsRegistry()
         metrics.inc("rule_fires", (("rule", "0"),), 5)
         metrics.set_gauge("run_facts", value=42)
         metrics.observe("rule_time", value=0.05)
         text = render_prometheus(metrics)
         assert 'repro_rule_fires_total{rule="0"} 5' in text
         assert "repro_run_facts 42" in text
-        assert 'repro_rule_time_bucket{le="0.1"} 1' in text
+        assert 'repro_rule_time_bucket{le="0.0256"} 0' in text
+        assert 'repro_rule_time_bucket{le="0.0512"} 1' in text
         assert 'repro_rule_time_bucket{le="+Inf"} 1' in text
         assert "repro_rule_time_count 1" in text
         assert text.endswith("\n")
@@ -429,7 +389,7 @@ class TestPrometheusRendering:
     def test_every_series_line_is_well_formed(self):
         import re
 
-        metrics = StreamingMetrics()
+        metrics = MetricsRegistry()
         metrics.inc("rule_fires", (("rule", "0"),))
         metrics.observe("rule_time", (("rule", "0"),), 0.002)
         metrics.set_gauge("bus_published_events", value=10)
@@ -441,14 +401,63 @@ class TestPrometheusRendering:
                 continue
             assert line_re.match(line), line
 
-    def test_plain_registry_renders_summaries(self):
-        from repro.observability import MetricsRegistry
-
+    def test_exposition_is_pinned(self):
+        # the golden file was rendered from these calls before the two
+        # registries merged: /metrics and --prom-out scrapers must see
+        # byte-identical text
         metrics = MetricsRegistry()
-        metrics.observe("rule_time", value=0.5)
-        text = render_prometheus(metrics)
-        assert "repro_rule_time_count 1" in text
-        assert "_bucket" not in text
+        metrics.inc("rule_fires", (("rule", "0"),), 5)
+        metrics.inc("rule_fires", (("rule", "1"),))
+        metrics.inc("server_requests", (("op", "run"), ("status", "200")))
+        metrics.inc("plain")
+        metrics.inc("plain", amount=2.5)
+        metrics.inc("weird.name-x", (("q", 'a"b\\c\nd'),))
+        metrics.set_gauge("run_facts", value=42)
+        metrics.set_gauge("ratio", (("db", "x"),), 0.25)
+        metrics.observe("rule_time", (("rule", "0"),), 0.002)
+        metrics.observe("rule_time", (("rule", "0"),), 0.0)
+        metrics.observe("rule_time", (("rule", "1"),), 0.05)
+        metrics.observe("run_time", value=1.5)
+        metrics.observe("run_time", value=100.0)
+        metrics.observe("join_fanout", (("pred", "anc"),), 3.0)
+        golden = pathlib.Path(__file__).parent / "fixtures" / "registry.prom"
+        assert render_prometheus(metrics) == golden.read_text()
+
+
+class TestRegistryThreads:
+    def test_concurrent_writes_lose_nothing(self):
+        # handler threads of the HTTP server share one registry; a tiny
+        # switch interval makes an unlocked read-modify-write lose
+        # increments within a few thousand calls
+        metrics = MetricsRegistry()
+        threads, per_thread = 4, 5_000
+        labels = (("op", "run"),)
+        pair = (("hits", labels), ("misses", labels))
+
+        def work():
+            for _ in range(per_thread):
+                metrics.inc("server_requests", labels)
+                metrics.inc_series(pair)
+                metrics.observe("server_request_seconds", labels, 0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * per_thread
+        assert metrics.counter("server_requests", labels) == total
+        assert metrics.counter("hits", labels) == total
+        assert metrics.counter("misses", labels) == total
+        hist = metrics.histogram("server_request_seconds", labels)
+        assert hist.count == total
+        assert sum(hist.counts) == total
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +713,6 @@ class TestReportEnvelope:
 
         schema, program = _load()
         bus = EventBus()
-        from repro.observability import MetricsRegistry
-
         obs = Instrumentation(metrics=MetricsRegistry(), sink=bus)
         engine = Engine(schema, program, instrumentation=obs)
         engine.run(FactSetLike(), Semantics.INFLATIONARY)
