@@ -9,7 +9,7 @@ LOGRES-to-ALGRES translation (``repro.compiler``) a pure schema mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import AlgebraError
 from repro.types.descriptors import TupleField, TupleType, TypeDescriptor
@@ -70,14 +70,6 @@ class Relation:
 
     def renamed(self, name: str) -> "Relation":
         return Relation(name, self.schema, self.rows)
-
-    def same_schema(self, other: "Relation") -> bool:
-        return set(self.schema.fields) == set(other.schema.fields)
-
-    def map_rows(self, fn: Callable[[TupleValue], TupleValue],
-                 schema: TupleType | None = None) -> "Relation":
-        return Relation(self.name, schema or self.schema,
-                        (fn(r) for r in self.rows))
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, {len(self.rows)} rows,"\

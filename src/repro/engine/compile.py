@@ -17,10 +17,9 @@ over a flat register file:
   constant / check slot) over the fact's components;
 * fully-bound negations become existence checks, built-ins call the
   shared solvers with precompiled argument getters;
-* the head becomes a builder producing the ground
-  :class:`~repro.storage.factset.Fact` directly from the registers,
-  with class-reference coercion decided at compile time from the
-  schema.
+* the head becomes a function producing the ground attribute tuple
+  directly from the registers, with class-reference coercion decided
+  at compile time from the schema.
 
 Anything outside the fragment (oid invention, class heads, deletion
 heads, self/tuple/positional arguments, patterns, active-domain
@@ -30,6 +29,18 @@ run compiled, in the same rounds.  The engine runs a compiled body from
 the rule's first valuation, on the incremental kernel only: never on
 the reference kernel (``incremental=False``), under instrumentation
 (events must see every valuation) or with indexes disabled.
+
+Most steps run one generic op loop over each candidate fact.  The
+shapes the ``bench/`` workloads run hot (the recursive two-column joins
+of reachability, role inheritance and influence) are unrolled to read
+components by position in the sorted items tuple (:func:`_positions`):
+a scan binding two variables and an index probe on a bound variable
+binding one more (each terminal and non-terminal), and a delta seed
+binding two variables ahead of further literals.  A head of plain
+variables skips the per-field coercion loop; one of exactly two is
+unrolled.  Every other shape runs the generic loops, which compute the
+same valuations: an unrolling stays only while a measured workload
+calls it.
 
 Equivalence with the generic matcher is property-tested against the
 reference kernel (``tests/test_planned_kernel.py``).  One deliberate
@@ -111,23 +122,22 @@ class CompiledRule:
     valuations in which body position ``pos`` is matched by ``fact``
     (the semi-naive driver feeds delta facts through these).  ``emit``
     receives the register file with every head variable written;
-    :meth:`make_delta_emit` / :meth:`make_round_emit` build the two
-    sinks the engine uses.
+    ``head_build_value(regs)`` is the head's attribute tuple.
+    :meth:`make_delta_emit` builds the general path's sink; semi-naive
+    rounds use :func:`repro.engine.step.make_round_emit`.
     """
 
     __slots__ = ("rule_index", "head_pred", "regs", "chain",
-                 "seed_chains", "seed_specs", "head_build",
-                 "head_build_value")
+                 "seed_chains", "seed_specs", "head_build_value")
 
     def __init__(self, rule_index, head_pred, nslots, chain, seed_chains,
-                 seed_specs, head_build, head_build_value):
+                 seed_specs, head_build_value):
         self.rule_index = rule_index
         self.head_pred = head_pred
         self.regs = [None] * nslots
         self.chain = chain
         self.seed_chains = seed_chains
         self.seed_specs = seed_specs  # tuple[(pos, pred)]
-        self.head_build = head_build
         self.head_build_value = head_build_value
 
     def run_full(self, ctx, emit) -> None:
@@ -136,68 +146,19 @@ class CompiledRule:
     def make_delta_emit(self, ctx, deltas, guard, skip_satisfied):
         """Sink mirroring :func:`repro.engine.step._derive_tuple` into a
         :class:`~repro.engine.step.StepDeltas`."""
-        build = self.head_build
+        build_value = self.head_build_value
+        pred = self.head_pred
         facts = ctx.facts
         plus_add = deltas.plus.add
         sized = guard.max_fact_size is not None
-        if not sized and skip_satisfied:
-            def emit(regs):
-                fact = build(regs)
-                if fact not in facts:
-                    plus_add(fact)
-            return emit
 
         def emit(regs):
-            fact = build(regs)
+            fact = Fact(pred, build_value(regs))
             if sized:
                 guard.check_fact_size(fact.pred, fact.value)
             if skip_satisfied and fact in facts:
                 return
             plus_add(fact)
-        return emit
-
-    def make_round_emit(self, facts, fresh, seen, guard):
-        """Sink for the semi-naive driver: deduplicate against the live
-        state and the current round, collect the survivors.
-
-        ``seen`` maps head predicate → values emitted this round; the
-        dedup probes run on the *value* (whose hash is cached) and the
-        ``Fact`` wrapper is only built for survivors.  The head is an
-        association by construction, so membership in the live state is
-        one set probe on the predicate's table — snapshotted here, which
-        is safe because the driver batches its adds at round end."""
-        build_value = self.head_build_value
-        append = fresh.append
-        pred = self.head_pred
-        table = facts._assoc.get(pred)
-        seen_values = seen.setdefault(pred, set())
-        seen_add = seen_values.add
-        if guard.max_fact_size is None:
-            if table is None:
-                def emit(regs):
-                    value = build_value(regs)
-                    if value in seen_values:
-                        return
-                    seen_add(value)
-                    append(Fact(pred, value))
-                return emit
-
-            def emit(regs):
-                value = build_value(regs)
-                if value in table or value in seen_values:
-                    return
-                seen_add(value)
-                append(Fact(pred, value))
-            return emit
-
-        def emit(regs):
-            value = build_value(regs)
-            guard.check_fact_size(pred, value)
-            if (table is not None and value in table) \
-                    or value in seen_values:
-                return
-            seen_add(value)
-            append(Fact(pred, value))
         return emit
 
 
@@ -297,37 +258,6 @@ def _make_positive(pred, lookup, ops, nxt, schema):
     terminal = nxt is _TERMINAL
     if lookup is None:
         # full scan over the stored values (no Fact wrappers)
-        if all_bind and len(ops) == 1:
-            l0, _, s0 = ops[0]
-            pos = _positions(pred, schema, (l0,))
-            if pos is not None:
-                n, (i0,) = pos
-                if terminal:
-                    def step(regs, ctx, emit):
-                        for value in _pred_values(ctx.facts, pred):
-                            items = value.items
-                            if len(items) == n:
-                                p = items[i0]
-                                v0 = p[1] if p[0] == l0 else value.get(l0)
-                            else:
-                                v0 = value.get(l0)
-                            if v0 is not None:
-                                regs[s0] = v0
-                                emit(regs)
-                    return step
-
-                def step(regs, ctx, emit):
-                    for value in _pred_values(ctx.facts, pred):
-                        items = value.items
-                        if len(items) == n:
-                            p = items[i0]
-                            v0 = p[1] if p[0] == l0 else value.get(l0)
-                        else:
-                            v0 = value.get(l0)
-                        if v0 is not None:
-                            regs[s0] = v0
-                            nxt(regs, ctx, emit)
-                return step
         if all_bind and len(ops) == 2:
             (l0, _, s0), (l1, _, s1) = ops
             pos = _positions(pred, schema, (l0, l1))
@@ -471,34 +401,6 @@ def _make_positive(pred, lookup, ops, nxt, schema):
                         regs[s0] = v0
                         nxt(regs, ctx, emit)
             return step
-        if terminal:
-            def step(regs, ctx, emit):
-                kval = regs[kslot]
-                if isinstance(kval, TupleValue) and SELF_LABEL in kval:
-                    kval = kval[SELF_LABEL]
-                bucket = _index_bucket(ctx.facts, pred, klabel, kval)
-                if not bucket:
-                    return
-                for fact in bucket:
-                    v0 = fact.value.get(l0)
-                    if v0 is not None:
-                        regs[s0] = v0
-                        emit(regs)
-            return step
-
-        def step(regs, ctx, emit):
-            kval = regs[kslot]
-            if isinstance(kval, TupleValue) and SELF_LABEL in kval:
-                kval = kval[SELF_LABEL]  # object binding at oid position
-            bucket = _index_bucket(ctx.facts, pred, klabel, kval)
-            if not bucket:
-                return
-            for fact in bucket:
-                v0 = fact.value.get(l0)
-                if v0 is not None:
-                    regs[s0] = v0
-                    nxt(regs, ctx, emit)
-        return step
 
     def step(regs, ctx, emit):
         kval = regs[kslot]
@@ -711,76 +613,12 @@ def _seed_ops(literal, slots):
 
 
 def _make_seed(ops, rest_chain, pred, schema):
-    terminal = rest_chain is _TERMINAL
     if all(op == _BIND for _, op, _ in ops):
-        if len(ops) == 1:
-            l0, _, s0 = ops[0]
-            pos = _positions(pred, schema, (l0,))
-            if pos is not None:
-                n, (i0,) = pos
-                if terminal:
-                    def seed(fact, regs, ctx, emit):
-                        value = fact.value
-                        items = value.items
-                        if len(items) == n:
-                            p = items[i0]
-                            v0 = p[1] if p[0] == l0 else value.get(l0)
-                        else:
-                            v0 = value.get(l0)
-                        if v0 is not None:
-                            regs[s0] = v0
-                            emit(regs)
-                    return seed
-
-                def seed(fact, regs, ctx, emit):
-                    value = fact.value
-                    items = value.items
-                    if len(items) == n:
-                        p = items[i0]
-                        v0 = p[1] if p[0] == l0 else value.get(l0)
-                    else:
-                        v0 = value.get(l0)
-                    if v0 is not None:
-                        regs[s0] = v0
-                        rest_chain(regs, ctx, emit)
-                return seed
-            if terminal:
-                def seed(fact, regs, ctx, emit):
-                    v0 = fact.value.get(l0)
-                    if v0 is not None:
-                        regs[s0] = v0
-                        emit(regs)
-                return seed
-
-            def seed(fact, regs, ctx, emit):
-                v0 = fact.value.get(l0)
-                if v0 is not None:
-                    regs[s0] = v0
-                    rest_chain(regs, ctx, emit)
-            return seed
-        if len(ops) == 2:
+        if len(ops) == 2 and rest_chain is not _TERMINAL:
             (l0, _, s0), (l1, _, s1) = ops
             pos = _positions(pred, schema, (l0, l1))
             if pos is not None:
                 n, (i0, i1) = pos
-                if terminal:
-                    def seed(fact, regs, ctx, emit):
-                        value = fact.value
-                        items = value.items
-                        if len(items) == n:
-                            p = items[i0]
-                            v0 = p[1] if p[0] == l0 else value.get(l0)
-                            p = items[i1]
-                            v1 = p[1] if p[0] == l1 else value.get(l1)
-                        else:
-                            v0 = value.get(l0)
-                            v1 = value.get(l1)
-                        if v0 is None or v1 is None:
-                            return
-                        regs[s0] = v0
-                        regs[s1] = v1
-                        emit(regs)
-                    return seed
 
                 def seed(fact, regs, ctx, emit):
                     value = fact.value
@@ -799,32 +637,6 @@ def _make_seed(ops, rest_chain, pred, schema):
                     regs[s1] = v1
                     rest_chain(regs, ctx, emit)
                 return seed
-            if terminal:
-                def seed(fact, regs, ctx, emit):
-                    value = fact.value
-                    v0 = value.get(l0)
-                    if v0 is None:
-                        return
-                    v1 = value.get(l1)
-                    if v1 is None:
-                        return
-                    regs[s0] = v0
-                    regs[s1] = v1
-                    emit(regs)
-                return seed
-
-            def seed(fact, regs, ctx, emit):
-                value = fact.value
-                v0 = value.get(l0)
-                if v0 is None:
-                    return
-                v1 = value.get(l1)
-                if v1 is None:
-                    return
-                regs[s0] = v0
-                regs[s1] = v1
-                rest_chain(regs, ctx, emit)
-            return seed
 
     def seed(fact, regs, ctx, emit):
         value = fact.value
@@ -876,32 +688,13 @@ def _head_builder(head, schema, slots):
                 if type(va) in _OIDFREE and type(vb) in _OIDFREE:
                     object.__setattr__(tv, "_max_oid", 0)
                 return tv
-
-            def build(regs):
-                return Fact(pred, build_value(regs))
-            return build, build_value
-        if len(slot_parts) == 1:
-            ((la, sa),) = slot_parts
-
-            def build_value(regs):
-                va = regs[sa]
-                tv = from_sorted(((la, va),))
-                if type(va) in _OIDFREE:
-                    object.__setattr__(tv, "_max_oid", 0)
-                return tv
-
-            def build(regs):
-                return Fact(pred, build_value(regs))
-            return build, build_value
+            return build_value
 
         def build_value(regs):
             return from_sorted(
                 tuple((label, regs[slot]) for label, slot in slot_parts)
             )
-
-        def build(regs):
-            return Fact(pred, build_value(regs))
-        return build, build_value
+        return build_value
     # TupleValue stores items sorted; pre-sort so the hot path skips
     # the per-fact dict + sort of the general constructor
     parts.sort(key=lambda p: p[0])
@@ -922,10 +715,7 @@ def _head_builder(head, schema, slots):
                 value = oid
             items.append((label, value))
         return from_sorted(tuple(items))
-
-    def build(regs):
-        return Fact(pred, build_value(regs))
-    return build, build_value
+    return build_value
 
 
 # ---------------------------------------------------------------------------
@@ -950,10 +740,9 @@ def compile_rule(runtime, plan, schema) -> CompiledRule | None:
     chain = _compile_chain(body, plan.order, set(), slots, schema)
     if chain is None:
         return None
-    builders = _head_builder(rule.head, schema, slots)
-    if builders is None:
+    head_build_value = _head_builder(rule.head, schema, slots)
+    if head_build_value is None:
         return None
-    head_build, head_build_value = builders
     seed_chains = {}
     seed_specs = []
     for pos, literal in enumerate(body):
@@ -979,6 +768,5 @@ def compile_rule(runtime, plan, schema) -> CompiledRule | None:
         chain=chain,
         seed_chains=seed_chains,
         seed_specs=tuple(seed_specs),
-        head_build=head_build,
         head_build_value=head_build_value,
     )

@@ -71,6 +71,7 @@ from repro.engine.guards import ResourceGuard
 from repro.engine.step import (
     InventionRegistry,
     RuleRuntime,
+    _head_attributes,
     apply_deltas,
     apply_deltas_inplace,
     compute_deltas,
@@ -189,13 +190,6 @@ class Engine:
         self.stats = EvalStats()
         #: the plans chosen by the last run (one per fixpoint scope)
         self.plans: list = []
-        #: oid-inventing rules in the whole program — the independence
-        #: certificates degrade to singletons when there are two or
-        #: more (fresh-oid numbering becomes order-sensitive)
-        self._inventors = sum(
-            1 for r in self.runtimes
-            if r.rule.head is not None and r.safety.invents_oid
-        )
 
     # ------------------------------------------------------------------
     # public API
@@ -370,7 +364,9 @@ class Engine:
         are built only where they can legally run, and then run from
         the rule's first valuation: uninstrumented (events must observe
         every valuation) and with indexes on (the closures bind index
-        lookups directly).
+        lookups directly).  The rules keep source order: every rule's
+        valuations of one step are taken over the same state (Appendix
+        B), so their order within a step cannot change the next state.
         """
         cfg = self.config
         if not cfg.plan or not cfg.incremental or not rules:
@@ -379,9 +375,8 @@ class Engine:
         from repro.engine.planner import build_plan
 
         metrics = obs.metrics if obs.enabled else None
-        plan = build_plan(rules, facts, self.schema, metrics=metrics,
-                          semantics=semantics.value, stratum=stratum,
-                          program_inventors=self._inventors)
+        plan = build_plan(rules, facts, metrics=metrics,
+                          semantics=semantics.value, stratum=stratum)
         self.plans.append(plan)
         compiling = cfg.use_indexes and not obs.enabled
         for runtime, rule_plan in zip(rules, plan.rules):
@@ -392,37 +387,6 @@ class Engine:
                                                 self.schema)
         if obs.enabled:
             obs.plan_chosen(plan)
-        else:
-            # certificate-backed reordering: within each independent
-            # group, cheapest-plan-first so low-cost rules saturate
-            # their deltas early.  The groups are provably
-            # order-insensitive, so results stay bit-identical (pinned
-            # by the planned≡reference property suite).  Instrumented
-            # runs keep source order — event streams promise it.
-            self._reorder_by_certificates(rules, plan)
-
-    @staticmethod
-    def _reorder_by_certificates(rules: list[RuleRuntime], plan) -> None:
-        """Reorder ``rules`` in place, cheapest plan first *within* each
-        independence certificate; the slot positions of every group are
-        preserved, so inter-group relative order never changes."""
-        by_index = {r.index: pos for pos, r in enumerate(rules)}
-        arranged = list(rules)
-        for group in plan.independent_groups:
-            members = [i for i in group if i in by_index]
-            if len(members) < 2:
-                continue
-            slots = sorted(by_index[i] for i in members)
-            ordered = sorted(
-                (rules[by_index[i]] for i in members),
-                key=lambda r: (
-                    r.plan.cost if r.plan is not None else 0.0,
-                    r.index,
-                ),
-            )
-            for slot, runtime in zip(slots, ordered):
-                arranged[slot] = runtime
-        rules[:] = arranged
 
     def explain_plan(
         self, edb: FactSet, semantics: Semantics = Semantics.INFLATIONARY
@@ -436,14 +400,11 @@ class Engine:
         if semantics is Semantics.STRATIFIED:
             strata = stratify_runtimes(rules, self.analysis)
             return [
-                build_plan(stratum, edb, self.schema,
-                           semantics=semantics.value, stratum=level,
-                           program_inventors=self._inventors)
+                build_plan(stratum, edb, semantics=semantics.value,
+                           stratum=level)
                 for level, stratum in enumerate(strata)
             ]
-        return [build_plan(rules, edb, self.schema,
-                           semantics=semantics.value,
-                           program_inventors=self._inventors)]
+        return [build_plan(rules, edb, semantics=semantics.value)]
 
     @contextmanager
     def _iteration(self, obs: Instrumentation):
@@ -682,22 +643,28 @@ class Engine:
         # the iteration budget is per scope, as on the general path
         start = self.stats.iterations
         obs = NULL_INSTRUMENTATION  # semi-naive only runs uninstrumented
-        # per rule: its compiled body (or None) and its seeds, one per
-        # positive body literal, as (predicate, seed)
+        ctx = MatchContext(facts, self.schema, cfg.use_indexes)
+        # per rule: its compiled body (or None), its seeds, one per
+        # positive body literal, as (predicate, seed), and the function
+        # from what the body emits to the head value
         bodies = []
         for runtime in rules:
             compiled = runtime.compiled
             if compiled is not None:
                 seeds = [(pred, compiled.seed_chains[pos])
                          for pos, pred in compiled.seed_specs]
+                build_value = compiled.head_build_value
             else:
                 seeds = [
                     (literal.pred.lower(), _generic_seed(runtime, pos))
                     for pos, literal in enumerate(runtime.rule.body)
                     if isinstance(literal, Literal) and not literal.negated
                 ]
-            bodies.append((runtime, compiled, seeds))
-        ctx = MatchContext(facts, self.schema, cfg.use_indexes)
+                build_value = (
+                    lambda bindings, head=runtime.rule.head:
+                    _head_attributes(head, bindings, ctx)
+                )
+            bodies.append((runtime, compiled, seeds, build_value))
         domains = ActiveDomains(facts, self.schema)
         live = facts.count()
         self.stats.facts_derived = live
@@ -716,14 +683,13 @@ class Engine:
                 fresh: list[Fact] = []
                 seen: dict[str, set] = {}
                 emits = [
-                    compiled.make_round_emit(facts, fresh, seen, guard)
-                    if compiled is not None
-                    else make_round_emit(runtime, ctx, fresh, seen, guard)
-                    for runtime, compiled, _ in bodies
+                    make_round_emit(runtime.rule.head.pred, build_value,
+                                    facts, fresh, seen, guard)
+                    for runtime, _, _, build_value in bodies
                 ]
                 if pending is None:
                     # initial round: fact rules and rules over the EDB
-                    for (runtime, compiled, _), emit in zip(bodies, emits):
+                    for (runtime, compiled, _, _), emit in zip(bodies, emits):
                         if compiled is not None:
                             compiled.run_full(ctx, emit)
                             continue
@@ -736,7 +702,7 @@ class Engine:
                     # chain's state is its register file, a generic
                     # seed's the active domains
                     dispatch: dict[str, list] = {}
-                    for (_, compiled, seeds), emit in zip(bodies, emits):
+                    for (_, compiled, seeds, _), emit in zip(bodies, emits):
                         state = compiled.regs if compiled is not None \
                             else domains
                         for pred, seed in seeds:

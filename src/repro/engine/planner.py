@@ -221,26 +221,22 @@ class RulePlan:
 class Plan:
     """Every rule's plan for one (semantics, stratum) scope.
 
-    ``independent_groups`` are the scope's independence certificates
-    (:mod:`repro.analysis.interference`): groups of rule indexes
-    provably order-insensitive.  The engine reorders rules only within
-    a group; ``repro plan`` and ``repro analyze`` emit the same
-    partition.
+    A plan orders the literals of each rule body; it never orders the
+    rules, which the engine evaluates in source order (one Appendix B
+    step takes every rule's valuations over the same state).  The
+    scope's independence certificates are static analysis, reported by
+    ``repro analyze`` (:mod:`repro.analysis.interference`).
     """
 
     semantics: str
     rules: list[RulePlan] = field(default_factory=list)
     stratum: int | None = None
-    independent_groups: list[list[int]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "semantics": self.semantics,
             "stratum": self.stratum,
             "rules": [rp.to_dict() for rp in self.rules],
-            "independent_groups": [
-                list(g) for g in self.independent_groups
-            ],
         }
 
     def render_text(self) -> str:
@@ -248,12 +244,6 @@ class Plan:
         if self.stratum is not None:
             scope += f", stratum {self.stratum}"
         lines = [f"plan ({scope})"]
-        if self.independent_groups:
-            groups = " ".join(
-                "{" + ", ".join(f"r{i}" for i in g) + "}"
-                for g in self.independent_groups
-            )
-            lines.append(f"  independent groups: {groups}")
         for rp in self.rules:
             lines.append(f"  rule {rp.index}: {rp.label}")
             if rp.order is None:
@@ -445,30 +435,20 @@ def _order_body(
 def build_plan(
     runtimes,
     facts,
-    schema,
     metrics=None,
     semantics: str = "inflationary",
     stratum: int | None = None,
-    program_inventors: int | None = None,
 ) -> Plan:
     """Plan every rule of one scope against the live ``facts``.
 
     ``runtimes`` are :class:`~repro.engine.step.RuleRuntime` objects
     (the safety report supplies each rule's active-domain variables);
     derivable predicates are the heads of the given rules, which is
-    what the cardinality floor of :class:`Stats` keys on.
-
-    ``program_inventors`` is the count of oid-inventing rules in the
-    *whole program* (not just this scope); with two or more, every
-    independence certificate degrades to a singleton (reordering could
-    interleave fresh-oid numbering across strata).  ``None`` falls back
-    to counting inventors in this scope.
+    what the cardinality floor of :class:`Stats` keys on.  Each rule
+    gets a body order for the full body and one per positive literal
+    seeding a semi-naive delta; the plan's rules keep the order of
+    ``runtimes``.
     """
-    from repro.analysis.effects import rule_effects
-    from repro.analysis.interference import (
-        independent_groups,
-        interference_edges,
-    )
     from repro.language.pretty import render_rule
 
     idb = {
@@ -510,19 +490,6 @@ def build_plan(
                         restmap[i] for i in sub_order
                     )
         plan.rules.append(rp)
-
-    effects = [
-        rule_effects(r.index, r.rule, r.safety, schema)
-        for r in runtimes
-        if r.rule.head is not None
-    ]
-    if program_inventors is None:
-        program_inventors = sum(1 for e in effects if e.invents_oid)
-    plan.independent_groups = independent_groups(
-        [e.index for e in effects],
-        interference_edges(effects, schema),
-        multi_inventor=program_inventors >= 2,
-    )
     return plan
 
 

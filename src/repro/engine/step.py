@@ -766,30 +766,51 @@ def _derive_tuple(
     return [fact]
 
 
-def make_round_emit(runtime, ctx, fresh, seen, guard):
-    """Sink for an uncompiled rule in the semi-naive driver, mirroring
-    :meth:`repro.engine.compile.CompiledRule.make_round_emit`: each body
-    valuation's head fact (a positive association) joins ``fresh``
-    unless the live state or this round already has it.  ``seen`` maps
-    head predicate → values emitted this round, shared with the
-    compiled rules' sinks."""
-    head = runtime.rule.head
-    pred = head.pred
-    facts = ctx.facts
-    seen_values = seen.setdefault(pred, set())
-    sized = guard.max_fact_size is not None
+def make_round_emit(pred, build_value, facts, fresh, seen, guard):
+    """The head sink of one rule for one semi-naive round: each
+    body valuation's head value (a positive association of ``pred``)
+    joins ``fresh`` unless the live state or this round already has it.
 
-    def emit(bindings):
-        value = _head_attributes(head, bindings, ctx)
-        if sized:
-            guard.check_fact_size(pred, value)
-        if value in seen_values:
+    ``build_value`` maps what the body passes to ``emit`` to the head's
+    attribute tuple: a compiled rule's register file
+    (``CompiledRule.head_build_value``) or a generic rule's bindings
+    (:func:`_head_attributes`).  ``seen`` maps head predicate → values
+    emitted this round, shared by every rule of the round; the dedup
+    probes run on the *value* (whose hash is cached) and the ``Fact``
+    wrapper is only built for survivors.  Membership in the live state
+    is one set probe on the predicate's table — snapshotted here, which
+    is safe because :meth:`~repro.engine.fixpoint.Engine._run_seminaive`
+    adds the survivors to the live state only at round end."""
+    append = fresh.append
+    table = facts._assoc.get(pred)
+    seen_values = seen.setdefault(pred, set())
+    seen_add = seen_values.add
+    if guard.max_fact_size is None:
+        if table is None:
+            def emit(regs):
+                value = build_value(regs)
+                if value in seen_values:
+                    return
+                seen_add(value)
+                append(Fact(pred, value))
+            return emit
+
+        def emit(regs):
+            value = build_value(regs)
+            if value in table or value in seen_values:
+                return
+            seen_add(value)
+            append(Fact(pred, value))
+        return emit
+
+    def emit(regs):
+        value = build_value(regs)
+        guard.check_fact_size(pred, value)
+        if (table is not None and value in table) \
+                or value in seen_values:
             return
-        fact = Fact(pred, value)
-        if fact in facts:
-            return
-        seen_values.add(value)
-        fresh.append(fact)
+        seen_add(value)
+        append(Fact(pred, value))
     return emit
 
 

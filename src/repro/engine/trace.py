@@ -29,9 +29,6 @@ class Derivation:
     iteration: int
     deleted: bool = False
 
-    def binding_dict(self) -> dict[str, Value]:
-        return dict(self.bindings)
-
     def __repr__(self) -> str:
         action = "deleted" if self.deleted else "derived"
         return (

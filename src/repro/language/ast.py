@@ -324,12 +324,6 @@ class Rule:
                     seen.append(v)
         return seen
 
-    def positive_body(self) -> list[BodyLiteral]:
-        return [l for l in self.body if not l.negated]
-
-    def negative_body(self) -> list[BodyLiteral]:
-        return [l for l in self.body if l.negated]
-
     def __repr__(self) -> str:
         head = "" if self.head is None else repr(self.head)
         if not self.body:
@@ -372,27 +366,6 @@ class Program:
         if self.goal is not None:
             lines.append(repr(self.goal))
         return "\n".join(lines)
-
-    def predicates_defined(self) -> set[str]:
-        out = set()
-        for r in self.rules:
-            if isinstance(r.head, Literal):
-                out.add(r.head.pred)
-            elif isinstance(r.head, FunctionHead):
-                out.add(f"__fn_{r.head.function}")
-        return out
-
-    def predicates_used(self) -> set[str]:
-        out = set()
-        for r in self.rules:
-            for lit in r.body:
-                if isinstance(lit, Literal):
-                    out.add(lit.pred)
-        if self.goal:
-            for lit in self.goal.literals:
-                if isinstance(lit, Literal):
-                    out.add(lit.pred)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,6 @@ class ParsedUnit:
     def program(self) -> Program:
         return Program(tuple(self.rules), self.goal)
 
-    @property
-    def has_schema_items(self) -> bool:
-        return bool(self.equations or self.isa or self.functions)
-
 
 def parse_source(text: str) -> ParsedUnit:
     """Parse a full LOGRES source unit."""

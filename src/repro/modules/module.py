@@ -81,9 +81,6 @@ class Module:
             goal=unit.goal,
         )
 
-    def schema_fragment(self) -> "Module":
-        return self
-
     def extend_schema(self, base: Schema) -> Schema:
         """``S0 ∪ SM`` (fragments validate only in combination with S0)."""
         equations = dict(base.equations)

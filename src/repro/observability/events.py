@@ -80,12 +80,6 @@ class TraceContext:
         self._stack: list[str] = []
         self._next = 0
 
-    def new_run(self, run_id: str | None = None) -> None:
-        """Start a fresh run scope: new id, empty span stack."""
-        self.run_id = run_id or new_run_id()
-        self._stack.clear()
-        self._next = 0
-
     def start_span(self) -> tuple[str, str | None]:
         """Open a span; returns ``(span_id, parent_span_id)``."""
         self._next += 1

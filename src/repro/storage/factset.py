@@ -299,9 +299,6 @@ class FactSet:
             len(s) for s in self._assoc.values()
         )
 
-    def is_class_pred(self, pred: str) -> bool:
-        return pred.lower() in self._class
-
     def oids_of(self, pred: str) -> set[Oid]:
         return set(self._class.get(pred.lower(), {}))
 

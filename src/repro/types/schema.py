@@ -160,10 +160,6 @@ class Schema:
             )
         return maximal[0]
 
-    @property
-    def hierarchy_roots(self) -> list[str]:
-        return [c for c in self.class_names if not self.direct_superclasses(c)]
-
     # ------------------------------------------------------------------
     # effective (inheritance-flattened) tuple types
     # ------------------------------------------------------------------

@@ -9,8 +9,11 @@ within any certified-independent group must produce a final instance
 **identical** to the unpermuted program evaluated on the reference
 kernel, under all three semantics (matching failure behaviour included).
 
-This is also what licenses the engine's certificate-backed reordering
-in ``Engine._attach_plans`` (cheapest-plan-first within a group).
+The engine does not reorder rules: it evaluates them in source order,
+and one Appendix B step takes every rule's valuations over the same
+state, so rule order within a step cannot change the next state
+(``tests/test_incremental_kernel.py`` pins that for every permutation).
+The certificates are what ``repro analyze`` reports.
 """
 
 import dataclasses

@@ -14,10 +14,14 @@ kernels to the reference:
   identical failure behaviour when a run does not terminate;
 * class-fact programs (o-value overwrites) must be bit-identical;
 * oid-inventing programs must be isomorphic (oid numbering may depend on
-  enumeration order, which the two kernels do not share).
+  enumeration order, which the two kernels do not share);
+* every permutation of a semi-naive eligible program's rules must give
+  the default kernel the same instance in the same number of
+  iterations: one step is one Appendix B step, whatever the rule order.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -31,6 +35,7 @@ from repro import (
     parse_source,
 )
 from repro.errors import LogresError
+from repro.language.ast import Program
 from repro.observability import Instrumentation, MetricsRegistry
 from repro.values import Oid, TupleValue
 from repro.workloads import random_edges
@@ -47,10 +52,11 @@ SHAPES = ("copy", "swap", "join", "filter", "shift", "closure",
           "negation", "deletion")
 
 
-def random_program(rng: random.Random):
-    """A random flat program over ``e``; always stratifiable (each rule
-    reads only ``e`` or lower-numbered ``out`` relations)."""
-    shapes = rng.choices(SHAPES, k=rng.randint(2, 4))
+def random_program(rng: random.Random, shapes=SHAPES):
+    """A random flat program over ``e``, drawn from ``shapes``; always
+    stratifiable (each rule reads only ``e`` or lower-numbered ``out``
+    relations)."""
+    shapes = rng.choices(shapes, k=rng.randint(2, 4))
     decls, rules = [], []
     for i, shape in enumerate(shapes):
         out = f"out{i}"
@@ -140,6 +146,51 @@ def test_incremental_matches_reference(seed):
     slow = outcome(schema, program, edb, Semantics.INFLATIONARY,
                    incremental=False)
     assert fast[0] == slow[0] and fast[1] == slow[1], source
+
+
+# ---------------------------------------------------------------------------
+# one Appendix B step: rule order within a step changes nothing
+# ---------------------------------------------------------------------------
+#: positive association heads, no invention: every stratum is
+#: semi-naive eligible (the negation shape reads only the EDB)
+JACOBI_SHAPES = tuple(s for s in SHAPES if s != "deletion")
+
+#: permutations grow factorially; programs past this many rules are
+#: drawn again
+JACOBI_MAX_RULES = 5
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rule_order_changes_neither_instance_nor_iterations(seed):
+    """Every rule's valuations of one step are taken over the same
+    state (Def. 7), so every permutation of the rules gives the default
+    kernel's instance and iteration count, under every semantics; the
+    stratified run is semi-naive, whose rounds dispatch delta facts in
+    hash order."""
+    rng = random.Random(5000 + seed)
+    unit = parse_source(random_program(rng, JACOBI_SHAPES))
+    while len(unit.rules) > JACOBI_MAX_RULES:
+        unit = parse_source(random_program(rng, JACOBI_SHAPES))
+    schema = unit.schema()
+    edb = random_edb(rng)
+    for semantics in (Semantics.INFLATIONARY, Semantics.STRATIFIED,
+                      Semantics.NONINFLATIONARY):
+        results = set()
+        for rules in itertools.permutations(unit.rules):
+            engine = Engine(schema, Program(rules), EvalConfig(
+                max_iterations=MAX_ITERATIONS,
+                guard=ResourceGuard(max_facts=50_000),
+            ))
+            try:
+                instance = engine.run(edb.copy(), semantics)
+            except LogresError as exc:
+                results.add(("error", type(exc).__name__))
+                continue
+            if semantics is Semantics.STRATIFIED:
+                assert engine.stats.used_seminaive
+            results.add((frozenset(instance.facts()),
+                         engine.stats.iterations))
+        assert len(results) == 1, (semantics, unit.program())
 
 
 # ---------------------------------------------------------------------------

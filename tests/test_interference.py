@@ -3,7 +3,7 @@
 Covers :mod:`repro.analysis.effects` (per-rule effect sets),
 :mod:`repro.analysis.interference` (edges, certificates, the LG10xx
 confluence pass, the pair budget), the ``repro analyze`` command and its
-exit-code convention, and the plan/analyze grouping agreement.
+exit-code convention, and the ``repro profile`` analysis section.
 """
 
 import json
@@ -15,12 +15,11 @@ from repro.analysis.driver import analyze_source
 from repro.analysis.effects import program_effects
 from repro.analysis.interference import (
     Interference,
-    analyze_interference,
     independent_groups,
     interference_edges,
 )
 from repro.cli import main
-from repro.engine import Engine, EvalConfig, Semantics
+from repro.engine import Semantics
 from repro.language.parser import parse_source
 from repro.storage.factset import FactSet
 
@@ -293,7 +292,7 @@ class TestAnalyzeCli:
 
 
 # ---------------------------------------------------------------------------
-# plan/analyze agreement, and the engine's certificate-backed reorder
+# the profile's analysis section
 # ---------------------------------------------------------------------------
 STRATIFIED_SOURCE = """
 associations
@@ -305,45 +304,6 @@ rules
   tc(a X, b Z) <- e(a X, b Y), tc(a Y, b Z).
   pair(a X, b Y) <- tc(a X, b Y), ~e(a Y, b X).
 """
-
-
-class TestPlanAnalyzeAgreement:
-    def test_stratified_plan_groups_match_analyze(self):
-        unit = parse_source(STRATIFIED_SOURCE)
-        schema, program = unit.schema(), unit.program()
-        engine = Engine(schema, program, EvalConfig())
-        plans = engine.explain_plan(FactSet(), Semantics.STRATIFIED)
-        by_stratum = {p.stratum: p.independent_groups for p in plans}
-
-        inter = analyze_interference(_analyzed(STRATIFIED_SOURCE))
-        for stratum in inter.strata:
-            assert by_stratum[stratum.index] == stratum.groups
-
-    def test_plan_to_dict_has_groups(self):
-        unit = parse_source(STRATIFIED_SOURCE)
-        engine = Engine(unit.schema(), unit.program(), EvalConfig())
-        (plan,) = engine.explain_plan(FactSet())
-        payload = plan.to_dict()
-        assert "independent_groups" in payload
-        grouped = sorted(
-            i for g in payload["independent_groups"] for i in g
-        )
-        assert grouped == sorted(rp.index for rp in plan.rules)
-
-    def test_multi_inventor_plans_are_singletons(self):
-        source = """
-        classes
-          node = (name: string).
-        associations
-          e = (a: string, b: string).
-        rules
-          node(name X) <- e(a X, b X).
-          node(name Y) <- e(a X, b Y), X < Y.
-        """
-        unit = parse_source(source)
-        engine = Engine(unit.schema(), unit.program(), EvalConfig())
-        (plan,) = engine.explain_plan(FactSet())
-        assert all(len(g) == 1 for g in plan.independent_groups)
 
 
 class TestProfileAnalysisSection:

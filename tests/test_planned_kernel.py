@@ -14,11 +14,15 @@ reference:
 * stratified negation programs must agree stratum by stratum;
 * oid invention feeding other rule *bodies* must be isomorphic
   (numbering may depend on enumeration order);
+* with no component positions (:func:`repro.engine.compile._positions`
+  returning None) every unrolled step and seed runs the generic op
+  loops, which must match the reference kernel too;
 * the reference kernel (``incremental=False``) never plans, never
   compiles and never runs semi-naive, under every semantics, so it
   stays an independent specification.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -49,8 +53,9 @@ ALL_SEMANTICS = (
 )
 
 
-def outcome(schema, program, edb, semantics, plan):
-    config = EvalConfig(
+def outcome(schema, program, edb, semantics, plan, config=None):
+    config = dataclasses.replace(
+        config or EvalConfig(),
         max_iterations=MAX_ITERATIONS,
         plan=plan,
         guard=ResourceGuard(max_facts=50_000),
@@ -75,6 +80,32 @@ def test_planned_matches_reference(seed):
         assert planned[0] == reference[0], \
             (semantics, source, planned, reference)
         assert planned[1] == reference[1], (semantics, source)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generic_loops_match_reference_without_positions(seed,
+                                                         monkeypatch):
+    """When the schema cannot give component positions, every unrolled
+    step and seed falls back to the generic op loops; they must derive
+    what the reference kernel derives."""
+    calls = []
+
+    def no_positions(*args):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr("repro.engine.compile._positions", no_positions)
+    rng = random.Random(seed)
+    source = random_program(rng)
+    unit = parse_source(source)
+    schema, program = unit.schema(), unit.program()
+    edb = random_edb(rng)
+    for semantics in ALL_SEMANTICS:
+        planned = outcome(schema, program, edb, semantics, plan=True)
+        reference = outcome(schema, program, edb, semantics,
+                            plan=False, config=REFERENCE)
+        assert planned == reference, (semantics, source)
+    assert calls, "no rule reached an unrolled shape"
 
 
 STRATIFIED_SOURCE = """

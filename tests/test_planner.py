@@ -309,7 +309,7 @@ rules
 """
     schema, program = _unit(src)
     engine = Engine(schema, program, EvalConfig())
-    plan = build_plan(engine.runtimes, FactSet(), schema)
+    plan = build_plan(engine.runtimes, FactSet())
     assert plan.rules[0].order == (0,)
     assert plan.rules[0].fallback is None
     rendered = plan.render_text()
