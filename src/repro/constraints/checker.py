@@ -114,19 +114,18 @@ class ConsistencyChecker:
                 for violation in out:
                     obs.constraint_violation(violation)
 
-    def extension_consistent(self, base: FactSet, facts: FactSet) -> bool:
-        """Whether ``facts`` is consistent, given a consistent ``base``
-        it contains (``base ⊆ facts``, same schema and denials) and a
-        schema without isa edges, as every program
-        :meth:`Engine.extendable` accepts has.
+    def extension_consistent(self, facts: FactSet, added: FactSet) -> bool:
+        """Whether ``facts`` is consistent, given that it is a
+        consistent set (same schema and denials) plus the ``added``
+        facts (``added ⊆ facts``) and a schema without isa edges, as
+        every program :meth:`Engine.extendable` accepts has.
 
         Nothing was removed, so every violation of ``facts`` that
-        ``base`` lacks involves a new fact: the structure, hierarchy
-        and reference checks run on ``facts − base`` only, and each
+        the consistent set lacks involves an added fact: the structure,
+        hierarchy and reference checks run on ``added`` only, and each
         denial is evaluated seeded on its positive body literals whose
         predicate gained facts.  Only the verdict is computed;
         :meth:`check` words the violations."""
-        added = facts.minus(base)
         if not added.count():
             return True
         self._current_facts = facts

@@ -70,7 +70,7 @@ from repro.language.ast import (
 from repro.language.builtins import get_builtin
 from repro.storage.factset import Fact
 from repro.types.descriptors import NamedType
-from repro.values.complex import TupleValue
+from repro.values.complex import TupleValue, shared_pair
 
 __all__ = ["CompiledRule", "compile_rule"]
 
@@ -684,7 +684,12 @@ def _head_builder(head, schema, slots):
             def build_value(regs):
                 va = regs[sa]
                 vb = regs[sb]
-                tv = from_sorted(((la, va), (lb, vb)))
+                # string fields share the general constructor's pairs
+                pa = shared_pair((la, va)) if type(va) is str \
+                    else (la, va)
+                pb = shared_pair((lb, vb)) if type(vb) is str \
+                    else (lb, vb)
+                tv = from_sorted((pa, pb))
                 if type(va) in _OIDFREE and type(vb) in _OIDFREE:
                     object.__setattr__(tv, "_max_oid", 0)
                 return tv

@@ -199,6 +199,8 @@ class Engine:
         edb: FactSet,
         semantics: Semantics = Semantics.INFLATIONARY,
         tracer=None,
+        *,
+        in_place: bool = False,
     ) -> FactSet:
         """Compute the instance of ``(E, R, S)`` under the given semantics.
 
@@ -207,10 +209,16 @@ class Engine:
         attached instrumentation — a tracer or an
         :class:`~repro.observability.Instrumentation` — forces the
         general (non-semi-naive) path so every rule firing is observed.
+
+        ``in_place`` evaluates in ``edb`` itself instead of a copy and
+        returns it.  Only the incremental kernels under inflationary or
+        stratified semantics keep one working set, so it is legal only
+        where :meth:`extendable` holds for the semantics and config,
+        uninstrumented; a journaling ``edb`` records every change.
         """
         return self._evaluate(
             semantics, tracer,
-            lambda obs: self._run(edb, semantics, obs),
+            lambda obs: self._run(edb, semantics, obs, in_place),
         )
 
     def extendable(self, semantics: Semantics) -> bool:
@@ -235,15 +243,18 @@ class Engine:
         edb: FactSet,
         semantics: Semantics = Semantics.INFLATIONARY,
     ) -> FactSet:
-        """The instance of ``edb`` continued from ``base``.
+        """Continue ``base`` in place to the instance of ``edb``;
+        returns the facts it added to ``base``.
 
         ``base`` is this program's instance over an EDB ``E0`` and
         ``edb`` is ``E0`` plus the ``inserted`` facts; only legal where
-        :meth:`extendable` holds.  The semi-naive delta rounds run from
-        a copy of ``base`` (never mutated), seeded with the inserted
-        facts it lacks, under the same guard checks and plans as
-        :meth:`run`; the oid generator is reserved above
-        ``edb`` exactly as a full run reserves it."""
+        :meth:`extendable` holds.  The semi-naive delta rounds run in
+        ``base`` itself, seeded with the inserted facts it lacks, under
+        the same guard checks and plans as :meth:`run`; the facts
+        returned are the union of the round deltas, so ``base`` ends as
+        its old facts plus them (a journaling ``base`` can be rolled
+        back).  The oid generator is reserved above ``edb`` exactly as
+        a full run reserves it."""
         return self._evaluate(
             semantics, None,
             lambda obs: self._extend(base, inserted, edb, semantics),
@@ -287,7 +298,14 @@ class Engine:
         edb: FactSet,
         semantics: Semantics,
         obs: Instrumentation,
+        in_place: bool = False,
     ) -> FactSet:
+        if in_place and (semantics is Semantics.NONINFLATIONARY
+                         or not self.config.incremental):
+            raise EvaluationError(
+                "in-place evaluation needs the incremental kernels under"
+                " inflationary or stratified semantics"
+            )
         self._reserve(edb)
         inventions = InventionRegistry(self.oidgen)
         rules = self._head_rules()
@@ -305,7 +323,7 @@ class Engine:
             raise EvaluationError(f"unknown semantics {semantics!r}")
         stratified = semantics is Semantics.STRATIFIED
         reference = not self.config.incremental
-        facts = edb.copy()
+        facts = edb if in_place else edb.copy()
         if obs.enabled:
             facts.index_stats = obs.index_stats
         for level, scope in enumerate(scopes):
@@ -340,11 +358,11 @@ class Engine:
     ) -> FactSet:
         self._reserve(edb)
         rules = self._head_rules()
-        facts = base.copy()
-        delta = FactSet.from_facts(f for f in inserted if facts.add(f))
-        self._attach_plans(rules, facts, NULL_INSTRUMENTATION, semantics)
+        added = FactSet.from_facts(f for f in inserted if base.add(f))
+        self._attach_plans(rules, base, NULL_INSTRUMENTATION, semantics)
         self.stats.used_seminaive = True
-        return self._run_seminaive(facts, rules, delta)
+        self._run_seminaive(base, rules, added)
+        return added
 
     def _head_rules(self) -> list[RuleRuntime]:
         return [r for r in self.runtimes if r.rule.head is not None]
@@ -636,7 +654,8 @@ class Engine:
         ``delta=None`` starts from the EDB ``facts`` with the initial
         round, every body evaluated in full; a given ``delta`` continues
         a fixpoint that ``facts`` already holds (plus the ``delta``
-        facts), straight from the delta rounds.
+        facts), straight from the delta rounds, and gains every fact
+        the rounds add.
         """
         cfg = self.config
         guard = self.guard
@@ -716,6 +735,9 @@ class Engine:
                             seed(fact, state, ctx, emit)
                 for fact in fresh:
                     facts.add(fact)
+                if delta is not None:
+                    for fact in fresh:
+                        delta.add(fact)
                 domains.invalidate(seen)
                 live += len(fresh)
                 self.stats.facts_derived = live

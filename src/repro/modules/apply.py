@@ -6,7 +6,8 @@ module's goal.  An application is *legal* only if the initial state is
 consistent and the resulting instance is defined and consistent; an
 illegal application raises
 :class:`~repro.errors.ModuleApplicationError` and leaves the input state
-untouched (states are never mutated — a fresh state is returned).
+untouched.  Without ``base`` a legal one leaves it untouched too (a
+fresh state is returned).
 
 Mode semantics (quoting Section 4.1):
 
@@ -22,10 +23,12 @@ Mode semantics (quoting Section 4.1):
   ``(∅, R_M)``; ``R1 = R0 − R_M``; ``S1 = S0 − S_M``.
 
 Given the checked instance ``I0`` of the input state as ``base``, an
-insert-only RIDV write into a monotone program does not re-derive I1:
-it continues ``I0`` from the inserted facts ``E1 − E0`` and checks the
-constraints on ``I1 − I0`` (see :func:`_finalize`).  Outcomes are the
-same as without ``base``; ``repro serve`` passes the instance it holds.
+insert-only RIDV write into a monotone program works in place and in
+proportion to what it changes: the update rules run in the live EDB,
+``I0`` is continued in place from the inserted facts ``E1 − E0``, and
+the constraints are checked on what ``I0`` gained (see
+:func:`_extend_in_place`).  Outcomes are the same as without ``base``;
+``repro serve`` passes the instance it holds.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ class ApplicationResult:
     #: whether ``instance`` was extended from a base instance rather
     #: than materialized from scratch
     extended: bool = False
+    #: ``(E1 − E0, E0 − E1)`` when the application read them off its
+    #: undo journal (the in-place path); None where E1 is a new set
+    edb_delta: tuple[list[Fact], list[Fact]] | None = None
 
     def __repr__(self) -> str:
         goal = (
@@ -99,10 +105,12 @@ def apply_module(
     and receives the final consistency check's violations as events.
 
     ``base`` is an optional instance of ``state`` under ``semantics``
-    that passed the consistency check.  An insert-only RIDV write
-    extends it instead of materializing ``I1`` from scratch, and checks
-    constraints on the facts it gained (see :func:`_finalize`); every
-    outcome, error message included, is the one without ``base``.
+    that passed the consistency check.  An insert-only RIDV write then
+    works in place: on success ``state.edb`` is ``E1`` and ``base`` is
+    ``I1`` (the result holds both), and constraints are checked on the
+    facts ``base`` gained (see :func:`_extend_in_place`).  Every
+    outcome, error message included, is the one without ``base``; a
+    failure restores ``base`` with the state.
     ``fingerprints``, if given, must be ``state_fingerprints(state)``:
     the savepoint takes them instead of hashing the state again.
 
@@ -111,14 +119,15 @@ def apply_module(
     violation, a :class:`~repro.errors.EvalBudgetExceeded` guard breach,
     or an arbitrary mid-apply exception — rolls the input state back to
     exactly its pre-apply ``(E, R, S)``, verified by fingerprint
-    identity, and re-raises the original failure.  A
+    identity, restores ``base`` by its journal, and re-raises the
+    original failure.  A
     ``module-rollback`` observability event records each rollback.
     """
     obs = instrumentation
     if obs is not None and not obs.enabled:
         obs = None
     started = time.perf_counter() if obs is not None else 0.0
-    savepoint = Savepoint(state, oidgen, fingerprints)
+    savepoint = Savepoint(state, oidgen, fingerprints, instance=base)
     try:
         mode_diags = check_module_application(state, module, mode)
         errors = [d for d in mode_diags if d.severity is Severity.ERROR]
@@ -151,7 +160,7 @@ def apply_module(
             elif mode in (Mode.RIDV, Mode.RADV):
                 result = _apply_datavariant(
                     state, module, mode, semantics, config, oidgen, obs,
-                    base,
+                    base, savepoint.fingerprints,
                 )
             else:
                 result = _apply_rddv(state, module, semantics, config,
@@ -233,42 +242,17 @@ def _finalize(
     oidgen: OidGenerator | None,
     obs=None,
     goal_rules: tuple[Rule, ...] = (),
-    base: FactSet | None = None,
-    prior_edb: FactSet | None = None,
+    engine: Engine | None = None,
 ) -> ApplicationResult:
     """Materialize I1, verify consistency, answer the goal if requested.
 
-    With ``base``, the checked instance of the prior state whose EDB is
-    ``prior_edb``, I1 is *extended* from it when the write only inserts
-    facts into a monotone program: the mode is RIDV, the module
-    declares no types, isa, functions or denials, ``E1 ⊇ E0``, and the
-    engine can continue the fixpoint (:meth:`Engine.extendable`).  The
-    semi-naive rounds then start from ``base`` seeded with ``E1 − E0``,
-    and the constraints are checked on ``I1 − I0`` only
-    (:meth:`ConsistencyChecker.extension_consistent`).  A violation,
-    or any evaluation failure except a timeout or cancellation, re-runs
-    the full path, so rejections read exactly as they do without
-    ``base``."""
-    engine = Engine(new_state.schema,
-                    new_state.evaluation_program(goal_rules),
-                    config=config, oidgen=oidgen)
-    inserted = None
-    if base is not None and _insert_only(module, mode) \
-            and engine.extendable(semantics):
-        inserted = _inserted(prior_edb, new_state.edb)
-    instance = None
-    if inserted is not None:
-        try:
-            instance = engine.extend(base, inserted, new_state.edb,
-                                     semantics)
-        except LogresError as exc:
-            # deterministic failures re-run below so that the full path
-            # words them; a timeout or cancellation would only recur
-            if getattr(exc, "budget", "") in ("timeout", "cancelled"):
-                raise
-    extended = instance is not None
-    if not extended:
-        instance = engine.run(new_state.edb, semantics)
+    ``engine``, if given, is the evaluation engine of ``new_state``
+    (and ``goal_rules``) that the caller already built."""
+    if engine is None:
+        engine = Engine(new_state.schema,
+                        new_state.evaluation_program(goal_rules),
+                        config=config, oidgen=oidgen)
+    instance = engine.run(new_state.edb, semantics)
     if FAULTS.enabled:
         FAULTS.fire(
             "module.finalize",
@@ -278,13 +262,7 @@ def _finalize(
         r for r in module.rules if r.is_denial
     )
     checker = ConsistencyChecker(new_state.schema, denials)
-    if extended and not checker.extension_consistent(base, instance):
-        # the violation is worded from the instance the full path
-        # builds (its witnesses follow that instance's fact order)
-        extended = False
-        instance = engine.run(new_state.edb, semantics)
-    violations = [] if extended else checker.check(instance,
-                                                   instrumentation=obs)
+    violations = checker.check(instance, instrumentation=obs)
     _reject_if_inconsistent(violations, new_state, module, mode, "resulting")
     answers = None
     if module.goal is not None and mode.allows_goal:
@@ -295,24 +273,78 @@ def _finalize(
         answers=answers,
         mode=mode,
         invents_oids=engine.analysis.has_invention,
-        extended=extended,
     )
 
 
 def _insert_only(module: Module, mode: Mode) -> bool:
-    """A RIDV module that changes no schema and adds no denial."""
+    """A RIDV module that changes no schema, adds no denial and
+    deletes nothing."""
     return mode is Mode.RIDV and not (
         module.equations or module.isa or module.functions
-        or any(r.is_denial for r in module.rules)
+        or any(r.is_denial or r.head.negated for r in module.rules)
     )
 
 
-def _inserted(before: FactSet, after: FactSet) -> list[Fact] | None:
-    """``after − before`` if ``after ⊇ before`` (nothing deleted, no
-    o-value overwritten), else None."""
-    if not before.issubset(after):
-        return None
-    return list(after.minus(before).facts())
+def _extend_in_place(
+    state: DatabaseState,
+    module: Module,
+    semantics: Semantics,
+    config: EvalConfig | None,
+    oidgen: OidGenerator | None,
+    base: FactSet,
+    engine: Engine,
+    fingerprints: dict[str, str],
+) -> ApplicationResult | None:
+    """An insert-only write into a monotone program, in place.
+
+    ``engine`` evaluates ``state``'s program and is
+    :meth:`~Engine.extendable`; ``base`` is its checked instance.  The
+    update rules run in the live EDB under a nested
+    :class:`~repro.modules.txn.Savepoint`, whose journal then holds
+    exactly ``E1 − E0``.  If nothing was removed or overwritten,
+    ``base`` is continued in place from those facts
+    (:meth:`Engine.extend`) and the constraints are checked on the
+    facts it gained (:meth:`ConsistencyChecker.extension_consistent`).
+    The instance is monotone in the EDB, so ``base`` is then ``I1``.
+
+    A removal or overwrite, a violation, or an evaluation failure other
+    than a timeout or cancellation rolls the EDB, ``base`` and the oid
+    generator back and returns None: the full path then runs exactly
+    as without ``base`` and words any rejection.  A failure that
+    propagates is rolled back by the caller's savepoint."""
+    attempt = Savepoint(state, oidgen, fingerprints, instance=base)
+    edb = _update_edb(state, module, state.schema, semantics, config,
+                      oidgen, in_place=True)
+    inserted = attempt.inserted()
+    added = None
+    if inserted is not None:
+        try:
+            added = engine.extend(base, inserted, edb, semantics)
+        except LogresError as exc:
+            # deterministic failures re-run on the full path, which
+            # words them; a timeout or cancellation would only recur
+            if getattr(exc, "budget", "") in ("timeout", "cancelled"):
+                raise
+    if added is not None:
+        if FAULTS.enabled:
+            FAULTS.fire(
+                "module.finalize",
+                guard=config.guard if config is not None else None,
+            )
+        checker = ConsistencyChecker(state.schema, state.denials())
+        if checker.extension_consistent(base, added):
+            attempt.release()
+            return ApplicationResult(
+                state=DatabaseState(state.schema, edb, state.rules),
+                instance=base,
+                answers=None,
+                mode=Mode.RIDV,
+                invents_oids=engine.analysis.has_invention,
+                extended=True,
+                edb_delta=(inserted, []),
+            )
+    attempt.rollback()
+    return None
 
 
 def _apply_ridi(state, module, semantics, config, oidgen, obs=None):
@@ -361,16 +393,29 @@ def _update_edb(
     semantics: Semantics,
     config: EvalConfig | None,
     oidgen: OidGenerator | None,
+    in_place: bool = False,
 ) -> FactSet:
-    """``E1``: the update rules ``R_M`` applied to ``E0`` (RIDV/RADV)."""
+    """``E1``: the update rules ``R_M`` applied to ``E0`` (RIDV/RADV),
+    in a copy of ``state.edb``, or in ``state.edb`` itself when
+    ``in_place`` (under the caller's journal)."""
     update_rules = tuple(r for r in module.rules if not r.is_denial)
     engine = Engine(schema, Program(update_rules), config=config,
                     oidgen=oidgen)
-    return engine.run(state.edb.copy(), semantics)
+    return engine.run(state.edb, semantics, in_place=in_place)
 
 
 def _apply_datavariant(state, module, mode, semantics, config, oidgen,
-                       obs=None, base=None):
+                       obs=None, base=None, fingerprints=None):
+    engine = None
+    if base is not None and _insert_only(module, mode):
+        # the module keeps schema and program: I1 is (E1, R0, S0)'s
+        engine = Engine(state.schema, state.evaluation_program(),
+                        config=config, oidgen=oidgen)
+        if engine.extendable(semantics):
+            result = _extend_in_place(state, module, semantics, config,
+                                      oidgen, base, engine, fingerprints)
+            if result is not None:
+                return result
     schema1 = module.extend_schema(state.schema)
     e1 = _update_edb(state, module, schema1, semantics, config, oidgen)
     rules1 = state.rules
@@ -378,7 +423,7 @@ def _apply_datavariant(state, module, mode, semantics, config, oidgen,
         rules1 = rules1 + tuple(module.rules)
     new_state = DatabaseState(schema=schema1, edb=e1, rules=rules1)
     return _finalize(new_state, module, mode, semantics, config, oidgen,
-                     obs, base=base, prior_edb=state.edb)
+                     obs, engine=engine)
 
 
 def _apply_rddv(state, module, semantics, config, oidgen, obs=None):

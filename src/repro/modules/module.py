@@ -82,7 +82,11 @@ class Module:
         )
 
     def extend_schema(self, base: Schema) -> Schema:
-        """``S0 ∪ SM`` (fragments validate only in combination with S0)."""
+        """``S0 ∪ SM`` (fragments validate only in combination with S0);
+        ``base`` itself when the module declares no type, isa edge or
+        function, so a write that keeps the schema keeps its object."""
+        if not (self.equations or self.isa or self.functions):
+            return base
         equations = dict(base.equations)
         for eq in self.equations:
             if eq.name in equations and equations[eq.name] != eq:

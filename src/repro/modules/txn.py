@@ -7,8 +7,9 @@ promise *verifiable* and keeps it under arbitrary mid-apply failures
 
 1. :class:`Savepoint` captures the pre-apply state — the schema and
    rule-tuple references (both immutable), an undo-journal mark on the
-   EDB fact set (:meth:`repro.storage.factset.FactSet.begin_journal`),
-   the :class:`~repro.values.oids.OidGenerator` position, and the
+   EDB fact set (:meth:`repro.storage.factset.FactSet.begin_journal`)
+   and on an instance extended in place beside it, the
+   :class:`~repro.values.oids.OidGenerator` position, and the
    :func:`state_fingerprints` of the triple ``(E, R, S)``.
 2. On failure, :meth:`Savepoint.rollback` replays the journal inverses,
    restores the references and the oid counter, and then *proves* the
@@ -16,7 +17,7 @@ promise *verifiable* and keeps it under arbitrary mid-apply failures
    raises :class:`~repro.errors.TransactionError` (chained to the
    original failure by the caller), because a half-restored database
    state must never be silently reported as intact.
-3. On success, :meth:`Savepoint.release` drops the journal.
+3. On success, :meth:`Savepoint.release` drops the journals.
 
 Fingerprints reuse the persistence encoders, which produce canonical
 (sorted) JSON, so they are insensitive to dict/set iteration-order
@@ -80,15 +81,19 @@ def _v1_edb_fingerprint(edb: FactSet) -> str:
 
 def state_fingerprints(
     state: DatabaseState,
-    prior: tuple[DatabaseState, dict[str, str]] | None = None,
+    prior: tuple | None = None,
 ) -> dict[str, str]:
     """Content hashes of each component of ``(E, R, S)``.
 
     ``prior``, if given, is ``(pre, state_fingerprints(pre))`` for an
-    earlier state ``pre`` whose EDB has not changed since: the EDB
-    digest is then ``pre``'s plus the hashes of ``E1 − E0`` minus those
-    of ``E0 − E1``, the same value as from scratch at the cost of the
-    two differences."""
+    earlier state ``pre``, optionally followed by the facts the write
+    inserted (``E1 − E0``) and removed (``E0 − E1``).  The EDB digest
+    is then ``pre``'s plus the hashes of the inserted facts minus those
+    of the removed ones: the same value as from scratch, at the cost of
+    the delta.  Without the two fact lists they are the differences of
+    the two EDBs, which must then be distinct objects (``pre.edb``
+    unchanged since).  The schema and program digests are ``pre``'s
+    when ``state`` holds the same schema object and rule tuple."""
     def fp(payload) -> str:
         return fingerprint(
             json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -96,20 +101,27 @@ def state_fingerprints(
 
     if prior is None:
         edb = _digest_sum(state.edb.facts())
+        pre = pre_prints = None
     else:
-        pre, pre_prints = prior
+        pre, pre_prints, *delta = prior
+        inserted, removed = delta or (state.edb.minus(pre.edb).facts(),
+                                      pre.edb.minus(state.edb).facts())
         edb = (int(pre_prints["edb"], 16)
-               + _digest_sum(state.edb.minus(pre.edb).facts())
-               - _digest_sum(pre.edb.minus(state.edb).facts()))
+               + _digest_sum(inserted) - _digest_sum(removed))
     return {
-        "schema": fp(encode_schema(state.schema)),
+        "schema": pre_prints["schema"]
+        if pre is not None and state.schema is pre.schema
+        else fp(encode_schema(state.schema)),
         "edb": format(edb % _DIGEST_MODULUS, "064x"),
-        "program": fp(encode_program(Program(state.rules))),
+        "program": pre_prints["program"]
+        if pre is not None and state.rules is pre.rules
+        else fp(encode_program(Program(state.rules))),
     }
 
 
 class Savepoint:
-    """One reversible scope over a :class:`DatabaseState`.
+    """One reversible scope over a :class:`DatabaseState`, and
+    optionally over an instance extended in place beside it.
 
     Usage (what :func:`repro.modules.apply.apply_module` does)::
 
@@ -125,25 +137,38 @@ class Savepoint:
 
     def __init__(self, state: DatabaseState,
                  oidgen: OidGenerator | None = None,
-                 fingerprints: dict[str, str] | None = None):
+                 fingerprints: dict[str, str] | None = None,
+                 instance: FactSet | None = None):
         """``fingerprints``, when the caller already holds them, are
-        ``state_fingerprints(state)``; they are then not recomputed."""
+        ``state_fingerprints(state)``; they are then not recomputed.
+        ``instance``, if given, is journaled like the EDB and restored
+        with it (by its journal alone: it has no fingerprint)."""
         self.state = state
         self.oidgen = oidgen
         self._schema = state.schema
         self._rules = tuple(state.rules)
-        self._owns_journal = not state.edb.journaling
-        self._mark = state.edb.begin_journal()
+        self._journals = [
+            (facts, not facts.journaling, facts.begin_journal())
+            for facts in (state.edb, instance) if facts is not None
+        ]
         self._oid_next = oidgen.next_number if oidgen is not None else None
         self.fingerprints = (fingerprints if fingerprints is not None
                              else state_fingerprints(state))
 
+    def inserted(self) -> list[Fact] | None:
+        """The facts the EDB gained since this savepoint began, when it
+        only gained facts (nothing removed, no o-value overwritten);
+        None otherwise."""
+        edb, _, mark = self._journals[0]
+        return edb.inserted_since(mark)
+
     def rollback(self) -> None:
         """Restore the captured state exactly; verify by fingerprint."""
         state = self.state
-        state.edb.rollback_to(self._mark)
-        if self._owns_journal:
-            state.edb.end_journal()
+        for facts, owned, mark in self._journals:
+            facts.rollback_to(mark)
+            if owned:
+                facts.end_journal()
         state.schema = self._schema
         state.rules = self._rules
         if self.oidgen is not None:
@@ -162,6 +187,7 @@ class Savepoint:
             )
 
     def release(self) -> None:
-        """Commit: drop the undo journal (if this savepoint opened it)."""
-        if self._owns_journal:
-            self.state.edb.end_journal()
+        """Commit: drop the undo journals this savepoint opened."""
+        for facts, owned, _ in self._journals:
+            if owned:
+                facts.end_journal()

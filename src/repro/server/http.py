@@ -446,29 +446,26 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(module, str):
                 raise ValueError('apply needs a "module" string')
             mode = Mode(str(body.get("mode", "RIDV")).upper())
-            result, seq = managed.apply(
+            payload, seq = managed.apply(
                 module, mode, semantics=semantics, config=config,
                 module_name=str(body.get("name", "")),
+                reply=_apply_payload,
             )
-            payload = {
-                "applied_seq": seq,
-                "mode": mode.value,
-                "facts": result.state.edb.count(),
-                "instance_facts": result.instance.count(),
-                "rules": len(result.state.rules),
-            }
-            if result.answers is not None:
-                payload["answers"] = _render_answers(result.answers)
-            return 200, payload
+            return 200, {"applied_seq": seq, **payload}
 
         rules_text = body.get("rules") if op == "run" else None
         if op in ("run", "check") and not isinstance(rules_text, str):
-            # the persistent instance: one evaluation per applied_seq
-            held = managed.materialized(semantics, guard)
+            # the persistent instance: one evaluation per applied_seq,
+            # read under the lock a write extends it under
             if op == "run":
-                return 200, _run_payload(held.instance, held.schema, body)
-            checker = ConsistencyChecker(held.schema, held.denials)
-            violations = checker.check(held.instance)
+                return 200, managed.read(
+                    semantics, guard,
+                    lambda held: _run_payload(held.instance, held.schema,
+                                              body))
+            violations = managed.read(
+                semantics, guard,
+                lambda held: ConsistencyChecker(
+                    held.schema, held.denials).check(held.instance))
             if violations:
                 return 409, {
                     "consistent": False,
@@ -569,6 +566,20 @@ class _Handler(BaseHTTPRequestHandler):
 #: pre-admission phase
 _BODY_TOO_LARGE = object()
 _BODY_BAD_JSON = object()
+
+
+def _apply_payload(result) -> dict:
+    """The ``apply`` response, read off the live EDB and instance while
+    the write still holds the lock."""
+    payload = {
+        "mode": result.mode.value,
+        "facts": result.state.edb.count(),
+        "instance_facts": result.instance.count(),
+        "rules": len(result.state.rules),
+    }
+    if result.answers is not None:
+        payload["answers"] = _render_answers(result.answers)
+    return payload
 
 
 def _run_payload(instance, schema, body: dict) -> dict:

@@ -3,23 +3,26 @@
 A :class:`ManagedDatabase` wraps one :class:`repro.core.database.Database`
 with everything a server needs to share it safely:
 
-* a **reader/writer lock** — writers are serialized; readers take the
-  lock only long enough to :meth:`~repro.storage.factset.FactSet.copy`
-  a snapshot (the copy carries the hash indexes) and evaluate entirely
-  outside it, so a long-running read never blocks a write and a write
-  never blocks reads;
+* a **reader/writer lock** — writers are serialized and mutate the
+  EDB and the held instance only under it; a read that evaluates takes
+  the lock only long enough to
+  :meth:`~repro.storage.factset.FactSet.copy` a snapshot (the copy
+  carries the hash indexes) and evaluates entirely outside it, so a
+  long evaluation never blocks a write, while a read of the held
+  instance answers under the lock;
 * the **materialized instance** per semantics — the instance is a
   function of the state (E, R, S), which changes only when
-  ``applied_seq`` advances, so :meth:`ManagedDatabase.materialized`
-  evaluates once per ``(applied_seq, semantics)`` and later reads at
-  the same seq answer from the held instance (no invalidation code: a
-  committed write or replay moves the seq past every entry);
+  ``applied_seq`` advances, so :meth:`ManagedDatabase.read` evaluates
+  once per ``(applied_seq, semantics)`` and later reads at the same
+  seq answer from the held instance (no invalidation code: a committed
+  write or replay moves the seq past every entry);
 * the **write path** over that instance — a write hands the *checked*
   entry of its semantics (one a committed write or replay stored) to
   :func:`~repro.modules.apply.apply_module` as the base an insert-only
-  write extends, and once committed leaves its own instance as the
-  entry of the new seq when the program invents no oids (the instance
-  then equals a fresh-generator read), so the read after a write hits;
+  write extends in place, journaled with the EDB until the WAL append
+  commits it, and once committed leaves its own instance as the entry
+  of the new seq when the program invents no oids (the instance then
+  equals a fresh-generator read), so the read after a write hits;
   replay threads the entry from record to record the same way;
 * the **write-ahead log** (:mod:`repro.server.wal`) appended-and-fsynced
   before any write is acknowledged;
@@ -46,7 +49,9 @@ import json
 import os
 import re
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from repro.core.database import Database
 from repro.engine import EvalConfig, Semantics
@@ -56,13 +61,19 @@ from repro.language.ast import Program, Rule
 from repro.modules.apply import ApplicationResult, apply_module
 from repro.modules.module import Mode, Module
 from repro.modules.state import DatabaseState, materialize
-from repro.modules.txn import _v1_edb_fingerprint, state_fingerprints
+from repro.modules.txn import (
+    Savepoint,
+    _v1_edb_fingerprint,
+    state_fingerprints,
+)
 from repro.server.wal import WriteAheadLog, make_record
 from repro.storage.factset import FactSet
 from repro.storage.persist import atomic_write_text, iter_state_text
 from repro.testing.faults import FAULTS
 from repro.types.schema import Schema
 from repro.values.oids import OidGenerator
+
+T = TypeVar("T")
 
 _NAME_RE = re.compile(r"^[a-z0-9][a-z0-9_-]{0,63}$")
 
@@ -148,7 +159,9 @@ class Materialized:
     deterministic, so any guard at least as loose in every dimension
     would have succeeded too; a tighter one must re-evaluate to
     reproduce its breach exactly.  The instance is shared between
-    concurrent readers and must never be mutated.
+    concurrent readers, which read it under the read lock; only a
+    write, under the write lock, extends a checked entry's instance in
+    place.
 
     ``checked`` is true only for an entry stored by a committed write
     or by WAL replay: the state it is the instance of passed the
@@ -207,6 +220,9 @@ class ManagedDatabase:
         #: whose ``seq`` is behind ``applied_seq`` is simply never hit
         self._materialized: dict[Semantics, Materialized] = {}
         self._materialized_lock = threading.Lock()
+        #: the semantics whose current entry :meth:`materialized` handed
+        #: out to be read outside the lock: a write extends a copy
+        self._handed_out: set[Semantics] = set()
         #: ``state_fingerprints(self.db.state)``, set by
         #: ``create``/``open`` and by every committed or replayed write:
         #: a write hands them to its savepoint and carries its ``post``
@@ -295,46 +311,59 @@ class ManagedDatabase:
             state.schema, state.edb.copy(), tuple(state.rules)
         )
 
-    def materialized(self, semantics: Semantics,
-                     guard: ResourceGuard | None = None) -> Materialized:
-        """The instance at the current ``applied_seq`` under
-        ``semantics``.
+    def read(self, semantics: Semantics, guard: ResourceGuard | None,
+             answer: Callable[[Materialized], T]) -> T:
+        """``answer(entry)`` for the instance at the current
+        ``applied_seq`` under ``semantics``.
 
         A hit needs the entry at the current seq, filled under limits
         no tighter than ``guard``'s (:meth:`Materialized.covers`); it
         costs one guard check (cancellation, timeout) and no
-        evaluation.  A miss evaluates a :meth:`read_snapshot`-style
-        copy outside the lock with a fresh oid generator, exactly like
-        an uncached read, and keeps the result only if no write
-        committed meanwhile; a budget breach raises and keeps
-        nothing."""
+        evaluation, and ``answer`` runs under the read lock, because a
+        write extends the held instance in place under the write lock.
+        A miss evaluates a :meth:`read_snapshot`-style copy outside the
+        lock with a fresh oid generator, exactly like an uncached read,
+        runs ``answer`` on it while it is still private, and then keeps
+        it only if no write committed meanwhile; a budget breach raises
+        and keeps nothing."""
         limits = _guard_limits(guard)
         with self.lock.read():
             seq = self.applied_seq
             held = self._materialized.get(semantics)
-            if held is None or held.seq != seq or not held.covers(limits):
-                state = self._copy_state()
-                held = None
-        if self.metrics is not None:
-            self.metrics.inc(
-                "server_read_cache_misses" if held is None
-                else "server_read_cache_hits",
-                (("db", self.name),),
-            )
-        if held is not None:
-            if guard is not None:
-                guard.check_iteration()
-            return held
+            if held is not None and held.seq == seq \
+                    and held.covers(limits):
+                self._count_read("server_read_cache_hits")
+                if guard is not None:
+                    guard.check_iteration()
+                return answer(held)
+            state = self._copy_state()
+        self._count_read("server_read_cache_misses")
         instance = materialize(
             state, semantics, EvalConfig(guard=guard), OidGenerator()
         )
         fresh = Materialized(
             seq, limits, state.schema, state.denials(), instance
         )
+        out = answer(fresh)
         with self._materialized_lock:
             if self.applied_seq == seq:
                 self._materialized[semantics] = fresh
-        return fresh
+        return out
+
+    def materialized(self, semantics: Semantics,
+                     guard: ResourceGuard | None = None) -> Materialized:
+        """The entry :meth:`read` answers from, to read outside any
+        lock: a write never extends an instance handed out here in
+        place, but a copy of it (see :meth:`_base`)."""
+        def lease(held: Materialized) -> Materialized:
+            self._handed_out.add(semantics)
+            return held
+
+        return self.read(semantics, guard, lease)
+
+    def _count_read(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.inc(name, (("db", self.name),))
 
     def fingerprints(self) -> dict[str, str]:
         with self.lock.read():
@@ -359,60 +388,58 @@ class ManagedDatabase:
     def apply(self, module_source: str, mode: Mode,
               semantics: Semantics | None = None,
               config: EvalConfig | None = None,
-              module_name: str = "") -> tuple[ApplicationResult, int]:
+              module_name: str = "",
+              reply: Callable[[ApplicationResult], T] | None = None,
+              ) -> tuple[ApplicationResult | T, int]:
         """One transactional, durable write.  Returns the application
         result and the committed WAL sequence number.
 
-        Commit protocol: execute under the Savepoint (any failure rolls
-        the in-memory state back, fingerprint-verified), then append to
-        the WAL (the commit point — on append failure the in-memory
-        advance is abandoned and the oid generator restored), then
-        advance the in-memory state, hold the new instance and maybe
-        snapshot.  The held entry of ``semantics`` is the base an
-        insert-only write extends (:meth:`_base`), and the last
-        commit's ``post`` fingerprints are the savepoint's and the
-        prior the new ``post`` is carried from; each committed write
-        counts in ``server_writes{db,path}``."""
+        Commit protocol: execute under a savepoint over the EDB and the
+        held instance the write may extend in place (:meth:`_execute`),
+        then append to the WAL (the commit point — on append failure
+        the savepoint rolls the EDB, the held instance and the oid
+        generator back before the lock is released), then advance the
+        in-memory state, hold the new instance and maybe snapshot.
+        The last commit's ``post`` fingerprints are the savepoint's and
+        the prior the new ``post`` is carried from; each committed
+        write counts in ``server_writes{db,path}``.
+
+        The result's EDB and instance are the live ones, which the next
+        write extends in place: ``reply``, if given, runs on the result
+        under the write lock, and its value is returned instead of the
+        result."""
         sem = semantics or self.semantics
         module = Module.from_source(module_source, name=module_name)
         limits = _guard_limits(config.guard if config is not None else None)
         with self.lock.write():
             oid_next_before = self.db.oidgen.next_number
             pre = self.db.state
-            result = apply_module(
-                self.db.state, module, mode,
-                semantics=sem, config=config,
-                oidgen=self.db.oidgen, check_initial=False,
-                base=self._base(sem, limits),
-                fingerprints=self._fingerprints,
-            )
+            result, savepoint = self._execute(module, mode, sem, config,
+                                              limits)
             if mode is Mode.RIDI:
                 # rule- and data-invariant: a pure query, no state
                 # change, nothing to log
-                return result, self.applied_seq
-            record = make_record(
-                self.applied_seq + 1, "apply",
-                module=module_source,
-                module_name=module_name,
-                mode=mode.value,
-                semantics=sem.value,
-                oid_next=oid_next_before,
-                post=state_fingerprints(
-                    result.state, prior=(pre, self._fingerprints)),
-            )
+                savepoint.release()
+                return (result if reply is None else reply(result),
+                        self.applied_seq)
             try:
+                record = make_record(
+                    self.applied_seq + 1, "apply",
+                    module=module_source,
+                    module_name=module_name,
+                    mode=mode.value,
+                    semantics=sem.value,
+                    oid_next=oid_next_before,
+                    post=self._post(pre, result),
+                )
                 self.wal.append(record)
             except BaseException:
-                # the write never committed: abandon the new state and
-                # rewind the oids it consumed (nothing else references
-                # them — the old state is still current)
-                self.db.oidgen.restore(oid_next_before)
+                # the write never committed: abandon the new state, its
+                # in-place changes and the oids it consumed
+                savepoint.rollback()
                 raise
-            self.applied_seq += 1
-            self.db.state = result.state
-            self.db._instance_cache = None
-            self._fingerprints = record["post"]
-            self._hold(sem, limits, result)
+            self._advance(record["seq"], sem, limits, result,
+                          record["post"], savepoint)
             if self.metrics is not None:
                 # writes are serialized by the write lock
                 self.metrics.inc("server_writes", (
@@ -428,19 +455,70 @@ class ManagedDatabase:
                     # snapshot rewrite degrades gracefully to a longer
                     # replay on the next startup
                     self.snapshot_failures += 1
-            return result, self.applied_seq
+            return (result if reply is None else reply(result),
+                    self.applied_seq)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _execute(self, module: Module, mode: Mode, semantics: Semantics,
+                 config: EvalConfig | None,
+                 limits: tuple[int | None, ...],
+                 ) -> tuple[ApplicationResult, Savepoint]:
+        """Apply ``module`` to the live state, handing ``apply_module``
+        the base an insert-only write extends (:meth:`_base`).  Returns
+        the result and a savepoint still open over the EDB, that base
+        and the oid generator, which the caller releases once the write
+        commits or rolls back if it does not.  A failed application
+        has rolled itself back.  Called under the write lock."""
+        base = self._base(semantics, limits)
+        savepoint = Savepoint(self.db.state, self.db.oidgen,
+                              self._fingerprints, instance=base)
+        try:
+            result = apply_module(
+                self.db.state, module, mode,
+                semantics=semantics, config=config,
+                oidgen=self.db.oidgen, check_initial=False,
+                base=base, fingerprints=self._fingerprints,
+            )
+        except BaseException:
+            savepoint.release()
+            raise
+        return result, savepoint
+
+    def _post(self, pre: DatabaseState,
+              result: ApplicationResult) -> dict[str, str]:
+        """The fingerprints after ``result``, carried from ``pre``'s
+        by the EDB changes the write read off its journal, or by the
+        differences of the two EDBs where it built a new one."""
+        prior = (pre, self._fingerprints)
+        if result.edb_delta is not None:
+            prior += result.edb_delta
+        return state_fingerprints(result.state, prior=prior)
+
+    def _advance(self, seq: int, semantics: Semantics,
+                 limits: tuple[int | None, ...],
+                 result: ApplicationResult, post: dict[str, str],
+                 savepoint: Savepoint) -> None:
+        """Make a committed write the current state at ``seq``."""
+        savepoint.release()
+        self.applied_seq = seq
+        self.db.state = result.state
+        self.db._instance_cache = None
+        self._fingerprints = post
+        self._hold(semantics, limits, result)
+
     def _base(self, semantics: Semantics,
               limits: tuple[int | None, ...]) -> FactSet | None:
-        """The instance a write under ``limits`` may extend: the held
-        entry at the current seq, checked, filled under limits no
-        looser than the write's.  Called under the write lock."""
+        """The instance a write under ``limits`` may extend in place:
+        the held entry at the current seq, checked, filled under limits
+        no looser than the write's; a copy of it if :meth:`materialized`
+        handed it out.  Called under the write lock."""
         held = self._materialized.get(semantics)
         if held is not None and held.seq == self.applied_seq \
                 and held.checked and held.covers(limits):
+            if semantics in self._handed_out:
+                return held.instance.copy()
             return held.instance
         return None
 
@@ -462,6 +540,7 @@ class ManagedDatabase:
         )
         with self._materialized_lock:
             self._materialized[semantics] = entry
+            self._handed_out.discard(semantics)
 
     def _replay(self, record: dict) -> None:
         if record.get("kind") != "apply":
@@ -477,39 +556,34 @@ class ManagedDatabase:
         limits = _guard_limits(None)
         pre = self.db.state
         try:
-            result = apply_module(
-                self.db.state, module, Mode(record["mode"]),
-                semantics=semantics,
-                oidgen=self.db.oidgen, check_initial=False,
-                base=self._base(semantics, limits),
-                fingerprints=self._fingerprints,
-            )
+            result, savepoint = self._execute(
+                module, Mode(record["mode"]), semantics, None, limits)
         except LogresError as exc:
             raise StorageError(
                 f"write-ahead log {self.wal_path}: replaying committed"
                 f" record {record['seq']} failed: {exc}"
             ) from exc
-        post = state_fingerprints(
-            result.state, prior=(pre, self._fingerprints))
-        # a v1 record holds the sorted-JSON hash of the whole EDB; the
-        # digest chain carries on underneath it
-        checked = post if record["version"] != 1 else {
-            **post, "edb": _v1_edb_fingerprint(result.state.edb)}
-        recorded = record.get("post") or {}
-        if checked != recorded:
-            drifted = sorted(
-                k for k in checked if checked[k] != recorded.get(k)
-            )
-            raise StorageError(
-                f"write-ahead log {self.wal_path}: record"
-                f" {record['seq']} replay diverged on"
-                f" {', '.join(drifted)} (fingerprint mismatch)"
-            )
-        self.db.state = result.state
-        self.db._instance_cache = None
-        self.applied_seq = int(record["seq"])
-        self._fingerprints = post
-        self._hold(semantics, limits, result)
+        try:
+            post = self._post(pre, result)
+            # a v1 record holds the sorted-JSON hash of the whole EDB;
+            # the digest chain carries on underneath it
+            checked = post if record["version"] != 1 else {
+                **post, "edb": _v1_edb_fingerprint(result.state.edb)}
+            recorded = record.get("post") or {}
+            if checked != recorded:
+                drifted = sorted(
+                    k for k in checked if checked[k] != recorded.get(k)
+                )
+                raise StorageError(
+                    f"write-ahead log {self.wal_path}: record"
+                    f" {record['seq']} replay diverged on"
+                    f" {', '.join(drifted)} (fingerprint mismatch)"
+                )
+        except BaseException:
+            savepoint.rollback()
+            raise
+        self._advance(int(record["seq"]), semantics, limits, result, post,
+                      savepoint)
 
     def _write_snapshot(self) -> None:
         """Atomic snapshot rewrite carrying the covered WAL position.

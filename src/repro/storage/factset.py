@@ -241,6 +241,24 @@ class FactSet:
         self._max_oid = max_oid
         return len(entries)
 
+    def inserted_since(self, mark: tuple[int, int]) -> list[Fact] | None:
+        """The facts added after ``mark``, in the order they were
+        added, when every journaled change since is an insertion; None
+        once a fact was removed or an o-value overwritten.  O(changes),
+        read off the journal."""
+        out = []
+        for op in self._journal[mark[0]:]:
+            kind = op[0]
+            if kind == "del_assoc":
+                out.append(Fact(op[1], op[2]))
+            elif kind == "del_class":
+                # no later entry changed it, or it would not be an
+                # insertion: the stored value is the one added
+                out.append(Fact(op[1], self._class[op[1]][op[2]], op[2]))
+            else:
+                return None
+        return out
+
     def end_journal(self) -> None:
         """Stop journaling and drop the recorded inverses (commit)."""
         self._journal = None
@@ -379,17 +397,6 @@ class FactSet:
             for value in filterfalse(theirs.__contains__, values):
                 out.add(Fact(pred, value))
         return out
-
-    def issubset(self, other: "FactSet") -> bool:
-        """Whether every fact of ``self`` is in ``other`` (class facts
-        with the same o-value)."""
-        return all(
-            values <= other._assoc.get(pred, set())
-            for pred, values in self._assoc.items()
-        ) and all(
-            table.items() <= other._class.get(pred, {}).items()
-            for pred, table in self._class.items()
-        )
 
     def intersection(self, other: "FactSet") -> "FactSet":
         out = FactSet()

@@ -29,15 +29,27 @@ Value = Union[
 #: ``sys.intern``: a shared pair equals the one it replaces, so no
 #: result depends on the table, and racing constructors at worst keep
 #: two copies of a pair.  Emptied when full, which only ends sharing
-#: for the pairs already handed out.  Only the general constructor
-#: shares (an extended instance's facts are built there); the compiled
-#: kernel's :meth:`TupleValue.from_sorted_items` stays a bare tuple
-#: wrap.
+#: for the pairs already handed out.  The general constructor shares
+#: every string pair; the compiled kernel's two-field head builder, which
+#: builds an extended instance's derived facts, shares through
+#: :func:`shared_pair`.
 _PAIRS: dict[tuple[str, str], tuple[str, str]] = {}
 _PAIRS_LIMIT = 1 << 16
 
 
+def shared_pair(pair: tuple[str, str]) -> tuple[str, str]:
+    """The table's pair equal to ``pair``, a ``(label, str)`` pair."""
+    pairs = _PAIRS
+    shared = pairs.get(pair)
+    if shared is None:
+        if len(pairs) >= _PAIRS_LIMIT:
+            pairs.clear()
+        pairs[pair] = shared = pair
+    return shared
+
+
 def _shared_pairs(items: list[tuple[str, Value]]) -> tuple:
+    # shared_pair inlined: every general construction runs this loop
     pairs = _PAIRS
     out = []
     for pair in items:

@@ -230,3 +230,52 @@ def test_repro_run_reference_compiles_nothing(tmp_path, capsys,
     refuse_compiling(monkeypatch)
     assert main(["run", str(path), "--reference"]) == 0
     assert capsys.readouterr().out == want
+
+
+REPEATED_SOURCE = """
+associations
+  e = (a: integer, b: integer).
+  q = (a: integer, b: integer).
+  s = (x: integer).
+  p = (x: integer).
+  r = (x: integer).
+rules
+  q(a X, b Y) <- e(a X, b Y).
+  p(x X) <- q(a X, b X).
+  r(x X) <- q(a X, b X), s(x X).
+"""
+
+
+def test_a_delta_seed_checks_a_repeated_variable():
+    """A delta fact seeds ``q(a X, b X)`` only when both components
+    agree: the compiled seed's op loop checks the second occurrence of
+    ``X`` against the register the first one bound.  In ``run`` the
+    ``q`` facts arrive as the second round's delta; in ``extend`` the
+    inserted ``q(a 6, b 7)`` is the delta itself."""
+    from repro.storage.factset import Fact
+    from repro.values.complex import TupleValue
+
+    unit = parse_source(REPEATED_SOURCE)
+    schema, program = unit.schema(), unit.program()
+    edb = FactSet()
+    for a, b in ((1, 2), (3, 3), (4, 5)):
+        edb.add_association("e", TupleValue(a=a, b=b))
+    for x in range(1, 8):
+        edb.add_association("s", TupleValue(x=x))
+    engine = Engine(schema, program)
+    got = engine.run(edb, Semantics.INFLATIONARY)
+    assert engine.stats.used_seminaive
+    seeded = {pred for r in engine.runtimes if r.compiled is not None
+              for _, pred in r.compiled.seed_specs}
+    assert "q" in seeded
+    want = Engine(schema, program, REFERENCE).run(edb)
+    assert got == want
+    assert {f.value["x"] for f in want.facts_of("p")} == {3}
+    assert {f.value["x"] for f in want.facts_of("r")} == {3}
+
+    inserted = Fact("q", TupleValue(a=6, b=7))
+    grown = edb.copy()
+    grown.add(inserted)
+    added = engine.extend(got, [inserted], grown, Semantics.INFLATIONARY)
+    assert list(added.facts()) == [inserted]
+    assert got == Engine(schema, program, REFERENCE).run(grown)

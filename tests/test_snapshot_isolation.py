@@ -1,10 +1,14 @@
 """Snapshot isolation: readers never observe uncommitted state.
 
 The server's read path takes a ``FactSet.copy()`` snapshot under the
-read lock and evaluates outside it (``docs/SERVE.md``).  The property:
-no reader snapshot — whenever taken, however long held — ever reflects
-a write that failed (Savepoint rollback), was never WAL-committed, or
-happened *after* the snapshot was taken.
+read lock and evaluates outside it, except for reads of the held
+instance, which answer under the read lock because an insert-only
+write extends that instance in place under the write lock
+(``docs/SERVE.md``).  The properties: no reader snapshot — whenever
+taken, however long held — ever reflects a write that failed
+(Savepoint rollback), was never WAL-committed, or happened *after* the
+snapshot was taken; and every answer from the held instance is the
+answer at some committed ``applied_seq``.
 """
 
 import threading
@@ -143,3 +147,112 @@ class TestConcurrentProperty:
         assert rogue == [], (
             f"{len(rogue)} snapshot(s) observed an uncommitted state"
         )
+
+
+CHAIN_SOURCE = """
+associations
+  parent = (par: string, chil: string).
+  anc = (a: string, d: string).
+rules
+  anc(a X, d Y) <- parent(par X, chil Y).
+  anc(a X, d Z) <- parent(par X, chil Y), anc(a Y, d Z).
+  <- anc(a X, d X).
+"""
+
+
+class TestInPlaceExtension:
+    def test_http_reads_answer_a_committed_seq_while_writes_extend(
+            self, tmp_path):
+        """Readers ``run`` goals and ``check`` through the HTTP read
+        path, which answers from the held instance, while a writer
+        commits inserts that extend that very instance in place.
+        Every answer equals the reference kernel's at some committed
+        ``applied_seq``: never a half-extended instance."""
+        import json
+        import sys
+
+        from repro.engine import Semantics
+        from repro.modules.state import materialize
+        from repro.server import ReproServer, ServerConfig
+        from repro.server.http import _run_payload
+        from repro.server.loadgen import post_json
+        from repro.values.oids import OidGenerator
+        from tests.kernels import REFERENCE
+
+        app = ReproServer(ServerConfig(port=0, data_dir=str(tmp_path)))
+        host, port = app.start()
+        threading.Thread(target=app.serve_forever, daemon=True).start()
+        base = f"http://{host}:{port}"
+        assert post_json(base, "/v1/db/db", {"source": CHAIN_SOURCE})[0] \
+            == 201
+        managed = app.registry.get("db")
+        states = {}
+
+        def write(i):
+            status, payload, _ = post_json(base, "/v1/db/db/apply", {
+                "module": f'rules\n  parent(par "p{i}", chil "p{i + 1}").',
+                "mode": "RIDV"})
+            assert status == 200, payload
+            # one writer: nothing commits between the reply and this
+            states[payload["applied_seq"]] = managed.read_snapshot()
+
+        write(0)
+        goals = ['?- anc(a "p0", d X).', '?- anc(a X, d "p9").',
+                 '?- parent(par X, chil Y).']
+        seen: list[tuple[str, dict]] = []
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def reader(k):
+            try:
+                while not stop.is_set():
+                    goal = goals[k % len(goals)]
+                    status, payload, _ = post_json(
+                        base, "/v1/db/db/run", {"goal": goal})
+                    assert status == 200, payload
+                    seen.append((goal, payload))
+                    status, payload, _ = post_json(
+                        base, "/v1/db/db/check", {})
+                    assert status == 200, payload
+                    k += 1
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=reader, args=(k,))
+                   for k in range(3)]
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(1, 24):
+                write(i)
+                stop.wait(0.01)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+            app.close()
+        assert not errors, errors
+        labels = (("db", "db"),)
+        assert app.metrics.counter("server_writes",
+                                   labels + (("path", "extend"),)) >= 20
+        assert app.metrics.counter("server_read_cache_hits", labels) > 0
+
+        def canonical(payload):
+            return json.dumps(
+                {**payload, "answers": sorted(payload["answers"], key=repr)},
+                sort_keys=True)
+
+        allowed = {goal: set() for goal in goals}
+        for state in states.values():
+            instance = materialize(state, Semantics.INFLATIONARY, REFERENCE,
+                                   OidGenerator())
+            for goal in goals:
+                payload = json.loads(json.dumps(_run_payload(
+                    instance, state.schema, {"goal": goal})))
+                allowed[goal].add(canonical(payload))
+        assert seen
+        for goal, payload in seen:
+            assert canonical(payload) in allowed[goal], (goal, payload)

@@ -219,7 +219,12 @@ def _assert_reopens(directory, managed: ManagedDatabase,
 
 
 def _run_sequence(tmp_path, program: str, seed: int, steps: int,
-                  snapshot_interval: int = 1000) -> MetricsRegistry:
+                  snapshot_interval: int = 1000,
+                  handed_out: bool = True) -> MetricsRegistry:
+    """``handed_out``: each step's read takes the held entry with
+    ``materialized`` (a write then extends a copy of it); otherwise
+    through ``read``, as the HTTP path does, so writes extend the held
+    instance itself."""
     metrics = MetricsRegistry()
     registry = DatabaseRegistry(tmp_path, snapshot_interval=snapshot_interval,
                                 metrics=metrics)
@@ -295,8 +300,11 @@ def _run_sequence(tmp_path, program: str, seed: int, steps: int,
                 assert held.seq <= managed.applied_seq
                 if held.seq == managed.applied_seq:
                     _same_instance(held.instance, state, sem, invents)
+            guard = _config().guard
             served, held = _outcome(
-                lambda: managed.materialized(semantics, _config().guard))
+                (lambda: managed.materialized(semantics, guard))
+                if handed_out else
+                (lambda: managed.read(semantics, guard, lambda h: h)))
             if served == "ok":
                 _same_instance(held.instance, state, semantics, invents)
                 if committed and not invents:
@@ -321,6 +329,13 @@ def test_positive_program_extends_and_matches_the_full_path(tmp_path, seed):
     metrics = _run_sequence(tmp_path, "positive", 9100 + seed, steps=36)
     assert _writes(metrics, "extend") > 0
     assert _writes(metrics, "full") > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_writes_extending_the_held_instance_itself(tmp_path, seed):
+    metrics = _run_sequence(tmp_path, "positive", 9400 + seed, steps=36,
+                            handed_out=False)
+    assert _writes(metrics, "extend") > 0
 
 
 @pytest.mark.parametrize("program", ["negation", "isa", "invention"])
@@ -435,11 +450,11 @@ def test_a_rejected_extension_reads_like_the_full_check(tmp_path, module,
 
 
 def test_extension_check_agrees_with_the_full_check():
-    """``extension_consistent`` over ``base ⊆ facts``, on violations
-    module rules cannot produce (analysis rejects them statically):
-    a verdict equal to the full check's on every one of them.  The
-    schema has no isa edge, like every program the write path
-    extends."""
+    """``extension_consistent`` over ``base`` plus the facts it gained,
+    on violations module rules cannot produce (analysis rejects them
+    statically): a verdict equal to the full check's on every one of
+    them.  The schema has no isa edge, like every program the write
+    path extends."""
     from repro.constraints.checker import ConsistencyChecker
     from repro.language.parser import parse_source
     from repro.storage.factset import FactSet
@@ -477,7 +492,8 @@ rules
             facts.add_object(pred, oid, value)
         full = checker.check(facts)
         assert (name == "consistent") == (full == []), (name, full)
-        assert checker.extension_consistent(base, facts) == (full == []), \
+        added = facts.minus(base)
+        assert checker.extension_consistent(facts, added) == (full == []), \
             name
 
 
@@ -592,3 +608,107 @@ def test_string_fields_share_their_pairs(monkeypatch):
     assert len(cv._PAIRS) <= 4
     assert [t["k"] for t in made] == [f"v{i}" for i in range(10)]
     assert cv.TupleValue(k="v9").items[0] is made[9].items[0]
+
+
+def test_a_compiled_head_shares_the_general_constructors_pairs(
+        monkeypatch):
+    """The compiled two-field head builder, which builds the facts an
+    extended instance gains, shares string pairs through the same
+    table as the general constructor."""
+    from repro import Engine, parse_source
+    from repro.storage.factset import FactSet
+    from repro.values import complex as cv
+
+    monkeypatch.setattr(cv, "_PAIRS", {})
+    unit = parse_source("""
+associations
+  edge = (src: string, dst: string).
+  reach = (src: string, dst: string).
+rules
+  reach(src X, dst Y) <- edge(src X, dst Y).
+  reach(src X, dst Z) <- edge(src X, dst Y), reach(src Y, dst Z).
+""")
+    facts = FactSet()
+    for a, b in (("a", "b"), ("b", "c"), ("c", "d")):
+        facts.add_association("edge", cv.TupleValue(src=a, dst=b))
+    engine = Engine(unit.schema(), unit.program())
+    instance = engine.run(facts)
+    assert all(r.compiled is not None for r in engine.runtimes)
+    derived = [f.value for f in instance.facts_of("reach")]
+    assert len(derived) == 6
+    for value in derived:
+        again = cv.TupleValue(src=value["src"], dst=value["dst"])
+        assert all(mine is theirs
+                   for mine, theirs in zip(value.items, again.items))
+
+
+def test_an_insert_write_copies_and_diffs_nothing(tmp_path, monkeypatch):
+    """An insert-only write extends the live EDB and the held instance
+    in place: no ``FactSet.copy`` and no ``minus``.  After a
+    commit, a rejection the delta check finds and a failed log append,
+    neither set is left journaling, and the two failures leave the
+    state and the held instance as they were."""
+    from collections import Counter
+
+    from repro.storage.factset import FactSet
+
+    managed = ManagedDatabase("db", tmp_path)
+    managed.create(POSITIVE)
+    sem = Semantics.INFLATIONARY
+    # a full write leaves a checked entry for the next one to extend
+    managed.apply('rules\n  parent(par "a", chil "b").\n'
+                  '  node(label "n").', Mode.RIDV)
+    held = managed._base(sem, (None, None, None))
+    assert held is not None
+    calls: Counter = Counter()
+    for name in ("copy", "minus"):
+        real = getattr(FactSet, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(FactSet, name, counting)
+    result, _ = managed.apply('rules\n  parent(par "b", chil "c").\n'
+                              '  owns(who "w", item N) <-'
+                              ' node(self N, label "n").', Mode.RIDV)
+    assert result.extended and result.instance is held
+    assert calls == Counter()
+    monkeypatch.undo()
+    edb = managed.db.state.edb
+    assert not edb.journaling and not held.journaling
+    assert held == _reference(managed.read_snapshot(), sem)
+
+    def assert_unchanged(write):
+        prints = state_fingerprints(managed.db.state)
+        seq, facts = managed.applied_seq, held.copy()
+        with pytest.raises((LogresError, OSError)):
+            write()
+        assert managed.applied_seq == seq
+        assert state_fingerprints(managed.db.state) == prints
+        assert managed.db.state.edb is edb
+        assert not edb.journaling and not held.journaling
+        assert managed._base(sem, (None, None, None)) is held
+        assert held == facts
+
+    # the cycle violates the denial; the delta check finds it
+    from repro.constraints.checker import ConsistencyChecker
+
+    verdicts = []
+    real_check = ConsistencyChecker.extension_consistent
+
+    def spy(self, facts, added):
+        verdicts.append(real_check(self, facts, added))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ConsistencyChecker, "extension_consistent", spy)
+    assert_unchanged(lambda: managed.apply(
+        'rules\n  parent(par "c", chil "a").', Mode.RIDV))
+    assert verdicts == [False]
+
+    def failed_append():
+        with FAULTS.inject("server.wal.append", action="io-error"):
+            managed.apply('rules\n  parent(par "c", chil "d").', Mode.RIDV)
+
+    assert_unchanged(failed_append)
+    managed.wal.close()
