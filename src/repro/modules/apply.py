@@ -285,9 +285,19 @@ def _insert_only(module: Module, mode: Mode) -> bool:
     )
 
 
+def _may_overwrite(updates: Engine) -> bool:
+    """Whether an update rule has a class head that invents no oid:
+    the one way an insert-only module can overwrite an o-value."""
+    return any(
+        updates.schema.is_class(r.rule.head.pred)
+        and not r.safety.invents_oid
+        for r in updates.runtimes
+    )
+
+
 def _extend_in_place(
     state: DatabaseState,
-    module: Module,
+    updates: Engine,
     semantics: Semantics,
     config: EvalConfig | None,
     oidgen: OidGenerator | None,
@@ -297,24 +307,26 @@ def _extend_in_place(
 ) -> ApplicationResult | None:
     """An insert-only write into a monotone program, in place.
 
-    ``engine`` evaluates ``state``'s program and is
-    :meth:`~Engine.extendable`; ``base`` is its checked instance.  The
-    update rules run in the live EDB under a nested
-    :class:`~repro.modules.txn.Savepoint`, whose journal then holds
-    exactly ``E1 − E0``.  If nothing was removed or overwritten,
-    ``base`` is continued in place from those facts
-    (:meth:`Engine.extend`) and the constraints are checked on the
-    facts it gained (:meth:`ConsistencyChecker.extension_consistent`).
-    The instance is monotone in the EDB, so ``base`` is then ``I1``.
+    ``updates`` evaluates the module's update rules, none of which
+    overwrites (:func:`_may_overwrite`); ``engine`` evaluates
+    ``state``'s program and is :meth:`~Engine.extendable`; ``base`` is
+    its checked instance.  The update rules run in the live EDB under
+    a nested :class:`~repro.modules.txn.Savepoint`, whose journal then
+    holds exactly ``E1 − E0``.  ``base`` is continued in place from
+    those facts (:meth:`Engine.extend`) and the constraints are checked
+    on the facts it gained
+    (:meth:`ConsistencyChecker.extension_consistent`).  The instance is
+    monotone in the EDB, so ``base`` is then ``I1``.
 
-    A removal or overwrite, a violation, or an evaluation failure other
-    than a timeout or cancellation rolls the EDB, ``base`` and the oid
-    generator back and returns None: the full path then runs exactly
-    as without ``base`` and words any rejection.  A failure that
-    propagates is rolled back by the caller's savepoint."""
+    A removal, a violation, or an evaluation failure other than a
+    timeout or cancellation undoes the EDB, ``base`` and the oid
+    generator by their journals (:meth:`Savepoint.undo`) and returns
+    None: the full path then runs exactly as without ``base`` and
+    words any rejection, and the caller's savepoint proves the state
+    if it fails.  A failure that propagates is rolled back by the
+    caller's savepoint."""
     attempt = Savepoint(state, oidgen, fingerprints, instance=base)
-    edb = _update_edb(state, module, state.schema, semantics, config,
-                      oidgen, in_place=True)
+    edb = updates.run(state.edb, semantics, in_place=True)
     inserted = attempt.inserted()
     added = None
     if inserted is not None:
@@ -343,7 +355,7 @@ def _extend_in_place(
                 extended=True,
                 edb_delta=(inserted, []),
             )
-    attempt.rollback()
+    attempt.undo()
     return None
 
 
@@ -386,38 +398,35 @@ def _apply_rddi(state, module, semantics, config, oidgen, obs=None):
                      oidgen, obs)
 
 
-def _update_edb(
-    state: DatabaseState,
+def _update_engine(
     module: Module,
     schema: Schema,
-    semantics: Semantics,
     config: EvalConfig | None,
     oidgen: OidGenerator | None,
-    in_place: bool = False,
-) -> FactSet:
-    """``E1``: the update rules ``R_M`` applied to ``E0`` (RIDV/RADV),
-    in a copy of ``state.edb``, or in ``state.edb`` itself when
-    ``in_place`` (under the caller's journal)."""
+) -> Engine:
+    """The engine of the update rules ``R_M`` (RIDV/RADV): its run
+    over ``E0`` is ``E1``."""
     update_rules = tuple(r for r in module.rules if not r.is_denial)
-    engine = Engine(schema, Program(update_rules), config=config,
-                    oidgen=oidgen)
-    return engine.run(state.edb, semantics, in_place=in_place)
+    return Engine(schema, Program(update_rules), config=config,
+                  oidgen=oidgen)
 
 
 def _apply_datavariant(state, module, mode, semantics, config, oidgen,
                        obs=None, base=None, fingerprints=None):
+    schema1 = module.extend_schema(state.schema)
+    updates = _update_engine(module, schema1, config, oidgen)
     engine = None
-    if base is not None and _insert_only(module, mode):
+    if base is not None and _insert_only(module, mode) \
+            and not _may_overwrite(updates):
         # the module keeps schema and program: I1 is (E1, R0, S0)'s
         engine = Engine(state.schema, state.evaluation_program(),
                         config=config, oidgen=oidgen)
         if engine.extendable(semantics):
-            result = _extend_in_place(state, module, semantics, config,
+            result = _extend_in_place(state, updates, semantics, config,
                                       oidgen, base, engine, fingerprints)
             if result is not None:
                 return result
-    schema1 = module.extend_schema(state.schema)
-    e1 = _update_edb(state, module, schema1, semantics, config, oidgen)
+    e1 = updates.run(state.edb, semantics)
     rules1 = state.rules
     if mode is Mode.RADV:
         rules1 = rules1 + tuple(module.rules)

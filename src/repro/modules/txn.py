@@ -162,8 +162,11 @@ class Savepoint:
         edb, _, mark = self._journals[0]
         return edb.inserted_since(mark)
 
-    def rollback(self) -> None:
-        """Restore the captured state exactly; verify by fingerprint."""
+    def undo(self) -> None:
+        """Restore the captured state by the journals, the references
+        and the oid position alone, unverified: for a savepoint nested
+        in one whose :meth:`rollback` proves the state if the
+        enclosing work fails."""
         state = self.state
         for facts, owned, mark in self._journals:
             facts.rollback_to(mark)
@@ -173,6 +176,11 @@ class Savepoint:
         state.rules = self._rules
         if self.oidgen is not None:
             self.oidgen.restore(self._oid_next)
+
+    def rollback(self) -> None:
+        """Restore the captured state exactly; verify by fingerprint."""
+        self.undo()
+        state = self.state
         # from scratch, never carried from a prior state: the proof
         # must not lean on the digest chain it would vouch for
         after = state_fingerprints(state)

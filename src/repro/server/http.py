@@ -446,12 +446,20 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(module, str):
                 raise ValueError('apply needs a "module" string')
             mode = Mode(str(body.get("mode", "RIDV")).upper())
-            payload, seq = managed.apply(
+            applied, seq = managed.apply(
                 module, mode, semantics=semantics, config=config,
                 module_name=str(body.get("name", "")),
-                reply=_apply_payload,
             )
-            return 200, {"applied_seq": seq, **payload}
+            payload = {
+                "applied_seq": seq,
+                "mode": mode.value,
+                "facts": applied.facts,
+                "instance_facts": applied.instance_facts,
+                "rules": applied.rules,
+            }
+            if applied.answers is not None:
+                payload["answers"] = _render_answers(applied.answers)
+            return 200, payload
 
         rules_text = body.get("rules") if op == "run" else None
         if op in ("run", "check") and not isinstance(rules_text, str):
@@ -566,20 +574,6 @@ class _Handler(BaseHTTPRequestHandler):
 #: pre-admission phase
 _BODY_TOO_LARGE = object()
 _BODY_BAD_JSON = object()
-
-
-def _apply_payload(result) -> dict:
-    """The ``apply`` response, read off the live EDB and instance while
-    the write still holds the lock."""
-    payload = {
-        "mode": result.mode.value,
-        "facts": result.state.edb.count(),
-        "instance_facts": result.instance.count(),
-        "rules": len(result.state.rules),
-    }
-    if result.answers is not None:
-        payload["answers"] = _render_answers(result.answers)
-    return payload
 
 
 def _run_payload(instance, schema, body: dict) -> dict:

@@ -71,6 +71,7 @@ from repro.storage.factset import FactSet
 from repro.storage.persist import atomic_write_text, iter_state_text
 from repro.testing.faults import FAULTS
 from repro.types.schema import Schema
+from repro.values.complex import Value
 from repro.values.oids import OidGenerator
 
 T = TypeVar("T")
@@ -183,6 +184,31 @@ class Materialized:
         )
 
 
+@dataclass(frozen=True)
+class Applied:
+    """What a write did, taken from its result under the write lock:
+    the result's EDB and instance are the live ones, which the next
+    write extends in place, so only these figures leave the lock."""
+
+    facts: int            # |E1|
+    instance_facts: int   # |I1|
+    rules: int            # |R1|
+    #: goal answers (data-invariant modes with a goal), else None
+    answers: list[dict[str, Value]] | None
+    #: whether the write extended the held instance (``path="extend"``)
+    extended: bool
+
+    @classmethod
+    def of(cls, result: ApplicationResult) -> "Applied":
+        return cls(
+            facts=result.state.edb.count(),
+            instance_facts=result.instance.count(),
+            rules=len(result.state.rules),
+            answers=result.answers,
+            extended=result.extended,
+        )
+
+
 def _guard_limits(guard: ResourceGuard | None) -> tuple[int | None, ...]:
     """The limits a run under ``guard`` is held to; without one the
     engine runs under a default guard, whose fact and invention budgets
@@ -220,16 +246,13 @@ class ManagedDatabase:
         #: whose ``seq`` is behind ``applied_seq`` is simply never hit
         self._materialized: dict[Semantics, Materialized] = {}
         self._materialized_lock = threading.Lock()
-        #: the semantics whose current entry :meth:`materialized` handed
-        #: out to be read outside the lock: a write extends a copy
-        self._handed_out: set[Semantics] = set()
         #: ``state_fingerprints(self.db.state)``, set by
         #: ``create``/``open`` and by every committed or replayed write:
         #: a write hands them to its savepoint and carries its ``post``
         #: forward from them, and info reads return them
         self._fingerprints: dict[str, str] = {}
         #: optional :class:`~repro.observability.MetricsRegistry` that
-        #: counts :meth:`materialized` hits and misses per database
+        #: counts :meth:`read` hits and misses per database
         self.metrics = metrics
 
     # ------------------------------------------------------------------
@@ -350,17 +373,6 @@ class ManagedDatabase:
                 self._materialized[semantics] = fresh
         return out
 
-    def materialized(self, semantics: Semantics,
-                     guard: ResourceGuard | None = None) -> Materialized:
-        """The entry :meth:`read` answers from, to read outside any
-        lock: a write never extends an instance handed out here in
-        place, but a copy of it (see :meth:`_base`)."""
-        def lease(held: Materialized) -> Materialized:
-            self._handed_out.add(semantics)
-            return held
-
-        return self.read(semantics, guard, lease)
-
     def _count_read(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.inc(name, (("db", self.name),))
@@ -389,10 +401,10 @@ class ManagedDatabase:
               semantics: Semantics | None = None,
               config: EvalConfig | None = None,
               module_name: str = "",
-              reply: Callable[[ApplicationResult], T] | None = None,
-              ) -> tuple[ApplicationResult | T, int]:
-        """One transactional, durable write.  Returns the application
-        result and the committed WAL sequence number.
+              ) -> tuple[Applied, int]:
+        """One transactional, durable write.  Returns what it did
+        (:class:`Applied`, read off the new state under the write lock)
+        and the committed WAL sequence number.
 
         Commit protocol: execute under a savepoint over the EDB and the
         held instance the write may extend in place (:meth:`_execute`),
@@ -402,12 +414,7 @@ class ManagedDatabase:
         in-memory state, hold the new instance and maybe snapshot.
         The last commit's ``post`` fingerprints are the savepoint's and
         the prior the new ``post`` is carried from; each committed
-        write counts in ``server_writes{db,path}``.
-
-        The result's EDB and instance are the live ones, which the next
-        write extends in place: ``reply``, if given, runs on the result
-        under the write lock, and its value is returned instead of the
-        result."""
+        write counts in ``server_writes{db,path}``."""
         sem = semantics or self.semantics
         module = Module.from_source(module_source, name=module_name)
         limits = _guard_limits(config.guard if config is not None else None)
@@ -420,8 +427,7 @@ class ManagedDatabase:
                 # rule- and data-invariant: a pure query, no state
                 # change, nothing to log
                 savepoint.release()
-                return (result if reply is None else reply(result),
-                        self.applied_seq)
+                return Applied.of(result), self.applied_seq
             try:
                 record = make_record(
                     self.applied_seq + 1, "apply",
@@ -455,8 +461,7 @@ class ManagedDatabase:
                     # snapshot rewrite degrades gracefully to a longer
                     # replay on the next startup
                     self.snapshot_failures += 1
-            return (result if reply is None else reply(result),
-                    self.applied_seq)
+            return Applied.of(result), self.applied_seq
 
     # ------------------------------------------------------------------
     # internals
@@ -512,13 +517,10 @@ class ManagedDatabase:
               limits: tuple[int | None, ...]) -> FactSet | None:
         """The instance a write under ``limits`` may extend in place:
         the held entry at the current seq, checked, filled under limits
-        no looser than the write's; a copy of it if :meth:`materialized`
-        handed it out.  Called under the write lock."""
+        no looser than the write's.  Called under the write lock."""
         held = self._materialized.get(semantics)
         if held is not None and held.seq == self.applied_seq \
                 and held.checked and held.covers(limits):
-            if semantics in self._handed_out:
-                return held.instance.copy()
             return held.instance
         return None
 
@@ -540,7 +542,6 @@ class ManagedDatabase:
         )
         with self._materialized_lock:
             self._materialized[semantics] = entry
-            self._handed_out.discard(semantics)
 
     def _replay(self, record: dict) -> None:
         if record.get("kind") != "apply":

@@ -338,11 +338,13 @@ class TestConcurrentReaders:
             try:
                 start.wait()
                 while not stop.is_set():
-                    held = managed.materialized(Semantics.INFLATIONARY)
-                    answers = _render_answers(
-                        _answer(goal, held.instance, held.schema))
-                    seen.append((held.seq, goal, answers))
-                    shared.setdefault(held.seq, set()).add(id(held))
+                    # answered under the read lock, as the HTTP path does
+                    seq, ident, answers = managed.read(
+                        Semantics.INFLATIONARY, None,
+                        lambda held: (held.seq, id(held), _render_answers(
+                            _answer(goal, held.instance, held.schema))))
+                    seen.append((seq, goal, answers))
+                    shared.setdefault(seq, set()).add(ident)
             except BaseException as exc:  # noqa: BLE001 — reported below
                 errors.append(exc)
 

@@ -219,12 +219,7 @@ def _assert_reopens(directory, managed: ManagedDatabase,
 
 
 def _run_sequence(tmp_path, program: str, seed: int, steps: int,
-                  snapshot_interval: int = 1000,
-                  handed_out: bool = True) -> MetricsRegistry:
-    """``handed_out``: each step's read takes the held entry with
-    ``materialized`` (a write then extends a copy of it); otherwise
-    through ``read``, as the HTTP path does, so writes extend the held
-    instance itself."""
+                  snapshot_interval: int = 1000) -> MetricsRegistry:
     metrics = MetricsRegistry()
     registry = DatabaseRegistry(tmp_path, snapshot_interval=snapshot_interval,
                                 metrics=metrics)
@@ -281,7 +276,11 @@ def _run_sequence(tmp_path, program: str, seed: int, steps: int,
                     assert records[-1]["post"] == post
                 else:  # the write's snapshot truncated the log
                     assert managed._writes_since_snapshot == 0
-                assert result.instance == want_value.instance or invents
+                assert (result.facts, result.instance_facts,
+                        result.rules) == (
+                    want_value.state.edb.count(),
+                    want_value.instance.count(),
+                    len(want_value.state.rules)), context
                 committed_oid = managed.db.oidgen.next_number
             else:
                 assert managed.applied_seq == seq_before
@@ -301,12 +300,15 @@ def _run_sequence(tmp_path, program: str, seed: int, steps: int,
                 if held.seq == managed.applied_seq:
                     _same_instance(held.instance, state, sem, invents)
             guard = _config().guard
+
+            def answer(entry):
+                # under the read lock, as the HTTP path answers
+                _same_instance(entry.instance, state, semantics, invents)
+                return entry
+
             served, held = _outcome(
-                (lambda: managed.materialized(semantics, guard))
-                if handed_out else
-                (lambda: managed.read(semantics, guard, lambda h: h)))
+                lambda: managed.read(semantics, guard, answer))
             if served == "ok":
-                _same_instance(held.instance, state, semantics, invents)
                 if committed and not invents:
                     assert held is managed._materialized[semantics]
             else:  # the reference fails the same way
@@ -329,13 +331,6 @@ def test_positive_program_extends_and_matches_the_full_path(tmp_path, seed):
     metrics = _run_sequence(tmp_path, "positive", 9100 + seed, steps=36)
     assert _writes(metrics, "extend") > 0
     assert _writes(metrics, "full") > 0
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_writes_extending_the_held_instance_itself(tmp_path, seed):
-    metrics = _run_sequence(tmp_path, "positive", 9400 + seed, steps=36,
-                            handed_out=False)
-    assert _writes(metrics, "extend") > 0
 
 
 @pytest.mark.parametrize("program", ["negation", "isa", "invention"])
@@ -369,7 +364,7 @@ def test_an_insert_read_under_negation_takes_the_full_path(tmp_path,
         managed.apply('rules\n  parent(par "a", chil "b").\n'
                       '  parent(par "b", chil "c").', Mode.RIDV,
                       semantics=semantics)
-        assert ("a", "b") in _anc(managed.materialized(semantics))
+        assert ("a", "b") in managed.read(semantics, None, _anc)
         # the entry a monotone program would extend is in place
         assert managed._base(semantics, (None, None, None)) is not None
         full = _writes(metrics, "full")
@@ -378,11 +373,16 @@ def test_an_insert_read_under_negation_takes_the_full_path(tmp_path,
         assert not result.extended
         assert _writes(metrics, "full") == full + 1
         assert _writes(metrics, "extend") == 0
-        state = managed.read_snapshot()
-        assert result.instance == _reference(state, semantics)
-        held = managed.materialized(semantics)
-        assert held.instance == _reference(state, semantics)
-        assert ("a", "b") not in _anc(held)  # the insert retracted it
+        want = _reference(managed.read_snapshot(), semantics)
+        assert result.instance_facts == want.count()
+        # the write's own instance is the entry a read hits
+        entry = managed._materialized[semantics]
+        assert entry.seq == managed.applied_seq
+        assert managed.read(semantics, None,
+                            lambda held: held is entry
+                            and held.instance == want)
+        # the insert retracted it
+        assert ("a", "b") not in managed.read(semantics, None, _anc)
     finally:
         registry.close_all()
 
@@ -672,7 +672,8 @@ def test_an_insert_write_copies_and_diffs_nothing(tmp_path, monkeypatch):
     result, _ = managed.apply('rules\n  parent(par "b", chil "c").\n'
                               '  owns(who "w", item N) <-'
                               ' node(self N, label "n").', Mode.RIDV)
-    assert result.extended and result.instance is held
+    assert result.extended
+    assert managed._base(sem, (None, None, None)) is held
     assert calls == Counter()
     monkeypatch.undo()
     edb = managed.db.state.edb
@@ -702,13 +703,76 @@ def test_an_insert_write_copies_and_diffs_nothing(tmp_path, monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(ConsistencyChecker, "extension_consistent", spy)
+    # the in-place attempt is undone by its journals alone: the one
+    # from-scratch hash is the proof of the enclosing rollback
+    hashed = _count_full_hashes(monkeypatch)
     assert_unchanged(lambda: managed.apply(
         'rules\n  parent(par "c", chil "a").', Mode.RIDV))
     assert verdicts == [False]
+    assert hashed == [1]
 
     def failed_append():
         with FAULTS.inject("server.wal.append", action="io-error"):
             managed.apply('rules\n  parent(par "c", chil "d").', Mode.RIDV)
 
     assert_unchanged(failed_append)
+    managed.wal.close()
+
+
+def _count_full_hashes(monkeypatch) -> list[int]:
+    """A one-item list counting the from-scratch ``state_fingerprints``
+    calls the savepoints make from now on."""
+    from repro.modules import txn
+
+    count = [0]
+    real = txn.state_fingerprints
+
+    def counting(state, prior=None):
+        if prior is None:
+            count[0] += 1
+        return real(state, prior)
+
+    monkeypatch.setattr(txn, "state_fingerprints", counting)
+    return count
+
+
+def test_an_overwriting_insert_skips_the_in_place_attempt(tmp_path,
+                                                          monkeypatch):
+    """An update rule with a class head that invents no oid may
+    overwrite an o-value: the write goes straight to the full path,
+    so its update rules run once and no rollback hashes the EDB."""
+    from repro.engine import Engine
+    from repro.modules import apply as apply_mod
+
+    managed = ManagedDatabase("db", tmp_path)
+    managed.create(POSITIVE)
+    sem = Semantics.INFLATIONARY
+    managed.apply('rules\n  parent(par "a", chil "b").\n'
+                  '  node(label "n").', Mode.RIDV)
+    assert managed._base(sem, (None, None, None)) is not None
+    attempts, runs = [], []
+    real_attempt, real_run = apply_mod._extend_in_place, Engine.run
+    monkeypatch.setattr(apply_mod, "_extend_in_place",
+                        lambda *a, **k: attempts.append(1)
+                        or real_attempt(*a, **k))
+    monkeypatch.setattr(Engine, "run",
+                        lambda self, *a, **k: runs.append(k)
+                        or real_run(self, *a, **k))
+    hashed = _count_full_hashes(monkeypatch)
+    result, _ = managed.apply(
+        'rules\n  node(self N, label "m") <- node(self N, label "n").',
+        Mode.RIDV)
+    assert not result.extended
+    assert attempts == [] and hashed == [0]
+    # the update run and the program's run, neither in place
+    assert runs == [{}, {}]
+    monkeypatch.undo()
+    held = managed._materialized[sem]
+    assert held.seq == managed.applied_seq
+    assert held.instance == _reference(managed.read_snapshot(), sem)
+    assert {f.value["label"] for f in held.instance.facts_of("node")} \
+        == {"m"}
+    # an inventing class head inserts a new object: it extends
+    result, _ = managed.apply('rules\n  node(label "k").', Mode.RIDV)
+    assert result.extended
     managed.wal.close()
