@@ -30,7 +30,9 @@ the rule's first valuation, on the incremental kernel only: never on
 the reference kernel (``incremental=False``), under instrumentation
 (events must see every valuation) or with indexes disabled.
 
-Most steps run one generic op loop over each candidate fact.  The
+A generic step runs one op matcher (:func:`_matches`) over the
+values one of three candidate sources gives (:func:`_candidates`): a
+scan, a constant's index bucket or a bound register's bucket.  The
 shapes the ``bench/`` workloads run hot (the recursive two-column joins
 of reachability, role inheritance and influence) are unrolled to read
 components by position in the sorted items tuple (:func:`_positions`):
@@ -38,8 +40,8 @@ a scan binding two variables and an index probe on a bound variable
 binding one more (each terminal and non-terminal), and a delta seed
 binding two variables ahead of further literals.  A head of plain
 variables skips the per-field coercion loop; one of exactly two is
-unrolled.  Every other shape runs the generic loops, which compute the
-same valuations: an unrolling stays only while a measured workload
+unrolled.  Every other shape runs the generic matcher, which computes
+the same valuations: an unrolling stays only while a measured workload
 calls it.
 
 Equivalence with the generic matcher is property-tested against the
@@ -52,6 +54,8 @@ oids, so the derived facts are identical.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from repro.engine.valuation import (
     SELF_LABEL,
@@ -81,6 +85,9 @@ _CHECK_SLOT = 2  # component must unify with a register
 
 #: index-probe key that matches no stored value (forces a lazy build)
 _PROBE = object()
+
+#: a bucket's :class:`Fact` -> its stored value
+_VALUE = attrgetter("value")
 
 #: runtime types whose values can never contain an oid, so the head
 #: builder can stamp the tuple's max-oid cache without a scan
@@ -112,6 +119,43 @@ def _index_bucket(facts, pred, label, key):
         facts.lookup(pred, label, _PROBE)
         by_label = facts._indexes[pred][label]
     return by_label.get(key)
+
+
+def _candidates(pred, lookup):
+    """``candidates(regs, ctx)``: the stored values of ``pred`` a step
+    tries, through the access path :func:`_positive_steps` chose — a
+    scan, a constant's index bucket or a bound register's bucket."""
+    if lookup is None:
+        return lambda regs, ctx: _pred_values(ctx.facts, pred)
+    kind, klabel, key = lookup
+    if kind == "const":
+        return lambda regs, ctx: map(
+            _VALUE, _index_bucket(ctx.facts, pred, klabel, key) or ())
+
+    def candidates(regs, ctx):
+        kval = regs[key]
+        if isinstance(kval, TupleValue) and SELF_LABEL in kval:
+            kval = kval[SELF_LABEL]  # object binding at oid position
+        return map(
+            _VALUE, _index_bucket(ctx.facts, pred, klabel, kval) or ())
+    return candidates
+
+
+def _matches(value, ops, regs) -> bool:
+    """Run the op list over one stored value: bind a component into its
+    register, or check it against a constant or a register.  False at
+    the first absent component or failed check."""
+    for label, op, payload in ops:
+        comp = value.get(label)
+        if comp is None:
+            return False
+        if op == _BIND:
+            regs[payload] = comp
+        else:
+            expected = payload if op == _CHECK_CONST else regs[payload]
+            if comp != expected and not values_unify(expected, comp):
+                return False
+    return True
 
 
 class CompiledRule:
@@ -299,57 +343,8 @@ def _make_positive(pred, lookup, ops, nxt, schema):
                         regs[s1] = v1
                         nxt(regs, ctx, emit)
                 return step
-
-        def step(regs, ctx, emit):
-            for value in _pred_values(ctx.facts, pred):
-                for label, op, payload in ops:
-                    comp = value.get(label)
-                    if comp is None:
-                        break
-                    if op == _BIND:
-                        regs[payload] = comp
-                    elif op == _CHECK_CONST:
-                        if comp != payload and \
-                                not values_unify(payload, comp):
-                            break
-                    else:
-                        expected = regs[payload]
-                        if comp != expected and \
-                                not values_unify(expected, comp):
-                            break
-                else:
-                    nxt(regs, ctx, emit)
-        return step
-
-    kind, klabel, key = lookup
-    if kind == "const":
-        def step(regs, ctx, emit):
-            bucket = _index_bucket(ctx.facts, pred, klabel, key)
-            if not bucket:
-                return
-            for fact in bucket:
-                value = fact.value
-                for label, op, payload in ops:
-                    comp = value.get(label)
-                    if comp is None:
-                        break
-                    if op == _BIND:
-                        regs[payload] = comp
-                    elif op == _CHECK_CONST:
-                        if comp != payload and \
-                                not values_unify(payload, comp):
-                            break
-                    else:
-                        expected = regs[payload]
-                        if comp != expected and \
-                                not values_unify(expected, comp):
-                            break
-                else:
-                    nxt(regs, ctx, emit)
-        return step
-
-    kslot = key
-    if all_bind and len(ops) == 1:
+    elif lookup[0] == "slot" and all_bind and len(ops) == 1:
+        _, klabel, kslot = lookup
         l0, _, s0 = ops[0]
         pos = _positions(pred, schema, (l0,))
         if pos is not None:
@@ -402,31 +397,11 @@ def _make_positive(pred, lookup, ops, nxt, schema):
                         nxt(regs, ctx, emit)
             return step
 
+    candidates = _candidates(pred, lookup)
+
     def step(regs, ctx, emit):
-        kval = regs[kslot]
-        if isinstance(kval, TupleValue) and SELF_LABEL in kval:
-            kval = kval[SELF_LABEL]  # object binding at oid position
-        bucket = _index_bucket(ctx.facts, pred, klabel, kval)
-        if not bucket:
-            return
-        for fact in bucket:
-            value = fact.value
-            for label, op, payload in ops:
-                comp = value.get(label)
-                if comp is None:
-                    break
-                if op == _BIND:
-                    regs[payload] = comp
-                elif op == _CHECK_CONST:
-                    if comp != payload and \
-                            not values_unify(payload, comp):
-                        break
-                else:
-                    expected = regs[payload]
-                    if comp != expected and \
-                            not values_unify(expected, comp):
-                        break
-            else:
+        for value in candidates(regs, ctx):
+            if _matches(value, ops, regs):
                 nxt(regs, ctx, emit)
     return step
 
@@ -434,32 +409,11 @@ def _make_positive(pred, lookup, ops, nxt, schema):
 def _make_negation(pred, lookup, ops, nxt):
     """A fully-bound negated literal: fail when any candidate passes
     every check (all ops are checks — nothing binds)."""
-    pred = pred.lower()
-
-    def candidates(regs, ctx):
-        if lookup is None:
-            return _pred_values(ctx.facts, pred)
-        kind, klabel, key = lookup
-        if kind == "slot":
-            key = regs[key]
-            if isinstance(key, TupleValue) and SELF_LABEL in key:
-                key = key[SELF_LABEL]
-        bucket = _index_bucket(ctx.facts, pred, klabel, key)
-        if bucket is None:
-            return ()
-        return [f.value for f in bucket]
+    candidates = _candidates(pred.lower(), lookup)
 
     def step(regs, ctx, emit):
         for value in candidates(regs, ctx):
-            for label, op, payload in ops:
-                comp = value.get(label)
-                if comp is None:
-                    break
-                expected = payload if op == _CHECK_CONST else regs[payload]
-                if comp != expected and \
-                        not values_unify(expected, comp):
-                    break
-            else:
+            if _matches(value, ops, regs):
                 return  # a witness exists: the negation fails
         nxt(regs, ctx, emit)
     return step
@@ -639,21 +593,8 @@ def _make_seed(ops, rest_chain, pred, schema):
                 return seed
 
     def seed(fact, regs, ctx, emit):
-        value = fact.value
-        for label, op, payload in ops:
-            comp = value.get(label)
-            if comp is None:
-                return
-            if op == _BIND:
-                regs[payload] = comp
-            elif op == _CHECK_CONST:
-                if comp != payload and not values_unify(payload, comp):
-                    return
-            else:
-                expected = regs[payload]
-                if comp != expected and not values_unify(expected, comp):
-                    return
-        rest_chain(regs, ctx, emit)
+        if _matches(fact.value, ops, regs):
+            rest_chain(regs, ctx, emit)
     return seed
 
 

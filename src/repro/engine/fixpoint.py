@@ -84,12 +84,10 @@ from repro.analysis.driver import analyze_or_raise
 from repro.language.analysis import (
     AnalyzedProgram,
     check_types,
+    read_function_preds,
 )
 from repro.language.ast import (
-    ArithExpr,
     BuiltinLiteral,
-    CollectionTerm,
-    FunctionApp,
     Literal,
     Program,
     Rule,
@@ -613,11 +611,12 @@ class Engine:
                 return False
             if runtime.safety.active_domain_vars:
                 return False
-            if any(_function_preds(t) for _, t in head.args.labeled):
+            if any(read_function_preds(t, set())
+                   for _, t in head.args.labeled):
                 return False
             for blit in rule.body:
                 if isinstance(blit, BuiltinLiteral):
-                    if any(_function_preds(t) for t in blit.args):
+                    if any(read_function_preds(t, set()) for t in blit.args):
                         return False
                 elif blit.negated and blit.pred.lower() in defined:
                     return False
@@ -826,20 +825,6 @@ def _generic_seed(runtime: RuleRuntime, pos: int):
     return seed
 
 
-def _function_preds(term) -> set[str]:
-    """The backing predicates of the data functions ``term`` reads."""
-    if isinstance(term, FunctionApp):
-        out = {f"__fn_{term.name}".lower()}
-        for arg in term.args:
-            out |= _function_preds(arg)
-        return out
-    if isinstance(term, ArithExpr):
-        return _function_preds(term.left) | _function_preds(term.right)
-    if isinstance(term, CollectionTerm):
-        return set().union(*(_function_preds(e) for e in term.elements))
-    return set()
-
-
 def _read_preds(rule: Rule) -> set[str]:
     """Every predicate ``rule`` reads: its body literals' predicates
     and the backing predicates of the data functions in its builtins,
@@ -852,9 +837,10 @@ def _read_preds(rule: Rule) -> set[str]:
         else:
             out.add(blit.pred.lower())
             terms.extend(t for _, t in blit.args.labeled)
+    fn_preds: set[str] = set()
     for term in terms:
-        out |= _function_preds(term)
-    return out
+        read_function_preds(term, fn_preds)
+    return out | {p.lower() for p in fn_preds}
 
 
 def stratify_runtimes(

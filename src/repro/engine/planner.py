@@ -46,7 +46,8 @@ from repro.language.ast import (
     Term,
     Var,
 )
-from repro.language.builtins import RESULT_LAST
+from repro.language.analysis import negation_ready
+from repro.language.builtins import builtin_ready
 
 __all__ = [
     "Plan",
@@ -310,40 +311,13 @@ def _positive_schedulable(literal: Literal, bound: set[Var]) -> bool:
     )
 
 
-def _negative_schedulable(
-    literal: Literal, bound: set[Var], ad_vars: set[Var]
-) -> bool:
-    return all(
-        v in bound or v in ad_vars for v in literal.variables()
-    )
-
-
 def _builtin_schedulable(blit: BuiltinLiteral, bound: set[Var]) -> bool:
     def resolvable(t: Term) -> bool:
         if _never_resolvable(t):
             return False
         return set(t.variables()) <= bound
 
-    def var_or_resolvable(t: Term) -> bool:
-        return isinstance(t, Var) or resolvable(t)
-
-    name = blit.name
-    if blit.negated:
-        return all(resolvable(t) for t in blit.args)
-    if name == "=" and len(blit.args) == 2:
-        left, right = blit.args
-        return (resolvable(left) and var_or_resolvable(right)) or (
-            resolvable(right) and var_or_resolvable(left)
-        )
-    if name == "member" and len(blit.args) == 2:
-        element, coll = blit.args
-        return resolvable(coll) and var_or_resolvable(element)
-    if name in RESULT_LAST and blit.args:
-        *inputs, result = blit.args
-        return all(resolvable(t) for t in inputs) and var_or_resolvable(
-            result
-        )
-    return all(resolvable(t) for t in blit.args)
+    return builtin_ready(blit, resolvable)
 
 
 def _access_path(
@@ -396,8 +370,7 @@ def _order_body(
         for pos in pending:
             lit = body[pos]
             if isinstance(lit, Literal):
-                if lit.negated and _negative_schedulable(lit, bound,
-                                                         ad_vars):
+                if lit.negated and negation_ready(lit, bound, ad_vars):
                     chosen = (pos, "negation", "filter", 1.0)
                     break
             elif _builtin_schedulable(lit, bound):

@@ -31,7 +31,7 @@ from repro.engine.valuation import (
     resolve_term,
     values_unify,
 )
-from repro.language.analysis import SafetyReport, VarInfo
+from repro.language.analysis import SafetyReport, VarInfo, negation_ready
 from repro.language.ast import (
     BuiltinLiteral,
     Constant,
@@ -40,7 +40,7 @@ from repro.language.ast import (
     Term,
     Var,
 )
-from repro.language.builtins import RESULT_LAST, get_builtin
+from repro.language.builtins import builtin_ready, get_builtin
 from repro.storage.factset import Fact, FactSet
 from repro.types.descriptors import NamedType
 from repro.values.complex import TupleValue, Value
@@ -186,21 +186,9 @@ def _eval_ordered(
         return
     literal = pending[idx]
     idx += 1
-    if isinstance(literal, Literal):
-        if literal.negated:
-            for extended in _solve_negative(
-                literal, bindings, runtime, ctx, domains
-            ):
-                yield from _eval_ordered(pending, idx, extended, runtime,
-                                         ctx, domains)
-        else:
-            for extended in match_literal(literal, bindings, ctx):
-                yield from _eval_ordered(pending, idx, extended, runtime,
-                                         ctx, domains)
-    else:
-        for extended in _solve_builtin(literal, bindings, ctx):
-            yield from _eval_ordered(pending, idx, extended, runtime,
-                                     ctx, domains)
+    for extended in _extensions(literal, bindings, runtime, ctx, domains):
+        yield from _eval_ordered(pending, idx, extended, runtime, ctx,
+                                 domains)
 
 
 def _eval_pending(
@@ -216,20 +204,25 @@ def _eval_pending(
     idx = _pick_ready(pending, bindings, runtime, ctx)
     literal = pending[idx]
     rest = pending[:idx] + pending[idx + 1:]
+    for extended in _extensions(literal, bindings, runtime, ctx, domains):
+        yield from _eval_pending(rest, extended, runtime, ctx, domains)
+
+
+def _extensions(
+    literal,
+    bindings: Bindings,
+    runtime: RuleRuntime,
+    ctx: MatchContext,
+    domains: ActiveDomains,
+):
+    """The extensions of ``bindings`` satisfying one body literal
+    (Def. 7, one literal at a time).  Returns the solver's own iterator,
+    so the dispatch adds no generator frame."""
     if isinstance(literal, Literal):
         if literal.negated:
-            for extended in _solve_negative(
-                literal, bindings, runtime, ctx, domains
-            ):
-                yield from _eval_pending(rest, extended, runtime, ctx,
-                                         domains)
-        else:
-            for extended in match_literal(literal, bindings, ctx):
-                yield from _eval_pending(rest, extended, runtime, ctx,
-                                         domains)
-    else:
-        for extended in _solve_builtin(literal, bindings, ctx):
-            yield from _eval_pending(rest, extended, runtime, ctx, domains)
+            return _solve_negative(literal, bindings, runtime, ctx, domains)
+        return match_literal(literal, bindings, ctx)
+    return _solve_builtin(literal, bindings, ctx)
 
 
 def _pick_ready(
@@ -248,7 +241,8 @@ def _pick_ready(
                 if score > best_score:
                     best_positive, best_score = i, score
                 continue
-            if _negative_ready(literal, bindings, runtime):
+            if negation_ready(literal, bindings,
+                              runtime.safety.active_domain_vars):
                 return i
         elif _builtin_ready(literal, bindings, ctx):
             return i
@@ -283,15 +277,6 @@ def _boundness(literal: Literal, bindings: Bindings) -> int:
     return score
 
 
-def _negative_ready(
-    literal: Literal, bindings: Bindings, runtime: RuleRuntime
-) -> bool:
-    ad = set(runtime.safety.active_domain_vars)
-    return all(
-        v in bindings or v in ad for v in literal.variables()
-    )
-
-
 def _builtin_ready(
     blit: BuiltinLiteral, bindings: Bindings, ctx: MatchContext
 ) -> bool:
@@ -304,26 +289,7 @@ def _builtin_ready(
         except EvaluationError:
             return False
 
-    def var_or_resolvable(t: Term) -> bool:
-        return isinstance(t, Var) or resolvable(t)
-
-    name = blit.name
-    if blit.negated:
-        return all(resolvable(t) for t in blit.args)
-    if name == "=" and len(blit.args) == 2:
-        left, right = blit.args
-        return (resolvable(left) and var_or_resolvable(right)) or (
-            resolvable(right) and var_or_resolvable(left)
-        )
-    if name == "member" and len(blit.args) == 2:
-        element, coll = blit.args
-        return resolvable(coll) and var_or_resolvable(element)
-    if name in RESULT_LAST and blit.args:
-        *inputs, result = blit.args
-        return all(resolvable(t) for t in inputs) and var_or_resolvable(
-            result
-        )
-    return all(resolvable(t) for t in blit.args)
+    return builtin_ready(blit, resolvable)
 
 
 def _solve_builtin(
@@ -492,14 +458,7 @@ def _probe_extensions(
     from repro.errors import LogresError
 
     try:
-        if isinstance(literal, Literal):
-            if literal.negated:
-                yield from _solve_negative(literal, bindings, runtime,
-                                           ctx, domains)
-            else:
-                yield from match_literal(literal, bindings, ctx)
-        else:
-            yield from _solve_builtin(literal, bindings, ctx)
+        yield from _extensions(literal, bindings, runtime, ctx, domains)
     except (LogresError, Unbound):
         return
 
@@ -854,39 +813,33 @@ def compute_deltas(
     :class:`ActiveDomains` (invalidated per changed predicate) instead of
     rebuilding the caches from scratch each step.  ``obs`` (an enabled
     :class:`repro.observability.Instrumentation`, or None) receives
-    per-rule wall time and the rule-fired stream; the ``obs is None``
-    loop is kept separate so the uninstrumented hot path pays nothing.
-    ``guard`` is the run's :class:`ResourceGuard` (see
-    :func:`process_head`).
+    per-rule wall time and the rule-fired stream.  Whether a rule runs
+    compiled and whether it is timed are decided once per rule, never
+    per valuation; an instrumented run takes the generic path, whose
+    every valuation the event stream must see.  ``guard`` is the run's
+    :class:`ResourceGuard` (see :func:`process_head`).
     """
     deltas = StepDeltas()
     if domains is None:
         domains = ActiveDomains(ctx.facts, ctx.schema)
-    if obs is None:
-        for runtime in runtimes:
-            if runtime.rule.head is None:
-                continue  # denials: evaluated by the consistency checker
-            compiled = runtime.compiled
-            if compiled is not None:
-                # compiled fast path: the closure chain derives the same
-                # ground facts as evaluate_body + process_head
-                compiled.run_full(ctx, compiled.make_delta_emit(
-                    ctx, deltas, guard, skip_satisfied
-                ))
-                continue
-            for bindings in evaluate_body(runtime, ctx, domains):
-                process_head(runtime, bindings, ctx, deltas, inventions,
-                             skip_satisfied, guard=guard)
-        return deltas
     clock = time.perf_counter
     for runtime in runtimes:
         if runtime.rule.head is None:
-            continue  # denials are evaluated by the consistency checker
+            continue  # denials: evaluated by the consistency checker
+        compiled = runtime.compiled
+        if obs is None and compiled is not None:
+            # compiled fast path: the closure chain derives the same
+            # ground facts as evaluate_body + process_head
+            compiled.run_full(ctx, compiled.make_delta_emit(
+                ctx, deltas, guard, skip_satisfied
+            ))
+            continue
         started = clock()
         for bindings in evaluate_body(runtime, ctx, domains):
             process_head(runtime, bindings, ctx, deltas, inventions,
                          skip_satisfied, obs, guard=guard)
-        obs.rule_evaluated(runtime, clock() - started)
+        if obs is not None:
+            obs.rule_evaluated(runtime, clock() - started)
     return deltas
 
 

@@ -503,6 +503,13 @@ class SafetyReport:
     active_domain_vars: tuple[Var, ...]
 
 
+def negation_ready(literal: Literal, bound, ad_vars) -> bool:
+    """Whether a negated literal can run: each of its variables is in
+    ``bound`` or ranges over the active domain (``ad_vars``, the rule's
+    :attr:`SafetyReport.active_domain_vars`)."""
+    return all(v in bound or v in ad_vars for v in literal.variables())
+
+
 def check_safety(
     rule: Rule, schema: Schema, sink: Collector | None = None,
 ) -> SafetyReport:
@@ -629,6 +636,22 @@ def _head_pred(rule: Rule) -> str | None:
     return None
 
 
+def read_function_preds(term: Term, out: set[str]) -> set[str]:
+    """Add to ``out`` the backing predicate ``__fn_<name>`` of every data
+    function ``term`` reads, nested reads included; returns ``out``."""
+    if isinstance(term, FunctionApp):
+        out.add(f"__fn_{term.name}")
+        for a in term.args:
+            read_function_preds(a, out)
+    elif isinstance(term, ArithExpr):
+        read_function_preds(term.left, out)
+        read_function_preds(term.right, out)
+    elif isinstance(term, CollectionTerm):
+        for e in term.elements:
+            read_function_preds(e, out)
+    return out
+
+
 def _function_reads(rule: Rule) -> tuple[set[str], set[str]]:
     """Backing predicates this rule reads: (element-wise, whole-set).
 
@@ -643,18 +666,6 @@ def _function_reads(rule: Rule) -> tuple[set[str], set[str]]:
     positive: set[str] = set()
     preds: set[str] = set()
     head_vars = set(rule.head_variables())
-
-    def scan(term: Term) -> None:
-        if isinstance(term, FunctionApp):
-            preds.add(f"__fn_{term.name}")
-            for a in term.args:
-                scan(a)
-        elif isinstance(term, ArithExpr):
-            scan(term.left)
-            scan(term.right)
-        elif isinstance(term, CollectionTerm):
-            for e in term.elements:
-                scan(e)
 
     def var_used_only_as_member_collection(var: Var) -> bool:
         for blit in rule.body:
@@ -692,17 +703,18 @@ def _function_reads(rule: Rule) -> tuple[set[str], set[str]]:
                 var, app = right, left
             if app is not None and var is not None:
                 for a in app.args:
-                    scan(a)  # nested reads inside the arguments
+                    # nested reads inside the arguments
+                    read_function_preds(a, preds)
                 if var_used_only_as_member_collection(var):
                     positive.add(f"__fn_{app.name}")  # element-wise
                     continue
                 preds.add(f"__fn_{app.name}")
                 continue
         for t in blit.args:
-            scan(t)
+            read_function_preds(t, preds)
     if isinstance(rule.head, Literal):
         for _, t in rule.head.args.labeled:
-            scan(t)
+            read_function_preds(t, preds)
     return positive, preds
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import BuiltinError
-from repro.language.ast import Var
+from repro.language.ast import BuiltinLiteral, Term, Var
 from repro.values.complex import (
     MultisetValue,
     SequenceValue,
@@ -330,6 +330,36 @@ RESULT_LAST = {
     "union", "intersection", "difference", "append", "count", "sum",
     "min", "max", "length", "nth", "mod", "first", "last", "reverse",
 }
+
+
+def builtin_ready(
+    blit: BuiltinLiteral, resolvable: Callable[[Term], bool]
+) -> bool:
+    """The mode rule: can ``blit`` run once the arguments passing
+    ``resolvable`` are inputs?  ``=`` needs one side resolvable and the
+    other resolvable or a variable, ``member`` its collection, a
+    result-last built-in its inputs; a negated or any other built-in
+    needs every argument."""
+    def var_or_resolvable(t: Term) -> bool:
+        return isinstance(t, Var) or resolvable(t)
+
+    name = blit.name
+    if blit.negated:
+        return all(resolvable(t) for t in blit.args)
+    if name == "=" and len(blit.args) == 2:
+        left, right = blit.args
+        return (resolvable(left) and var_or_resolvable(right)) or (
+            resolvable(right) and var_or_resolvable(left)
+        )
+    if name == "member" and len(blit.args) == 2:
+        element, coll = blit.args
+        return resolvable(coll) and var_or_resolvable(element)
+    if name in RESULT_LAST and blit.args:
+        *inputs, result = blit.args
+        return all(resolvable(t) for t in inputs) and var_or_resolvable(
+            result
+        )
+    return all(resolvable(t) for t in blit.args)
 
 
 def is_builtin(name: str) -> bool:

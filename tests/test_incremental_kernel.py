@@ -51,6 +51,11 @@ MAX_ITERATIONS = 300
 SHAPES = ("copy", "swap", "join", "filter", "shift", "closure",
           "negation", "deletion")
 
+#: shapes drawn only when a caller names them: ``const`` puts a node
+#: name of :func:`random_edb` in a body literal, ``diag`` repeats a
+#: variable inside one literal
+EXTRA_SHAPES = ("const", "diag")
+
 
 def random_program(rng: random.Random, shapes=SHAPES):
     """A random flat program over ``e``, drawn from ``shapes``; always
@@ -78,6 +83,20 @@ def random_program(rng: random.Random, shapes=SHAPES):
             rules.append(f"{out}(a X, b Y) <- {prev}(a X, b Y).")
             rules.append(
                 f"{out}(a X, b Z) <- {prev}(a X, b Y), {out}(a Y, b Z)."
+            )
+        elif shape == "const":
+            node = f"n{rng.randrange(3)}"  # random_edb: n0-n2 at least
+            if rng.random() < 0.5:
+                rules.append(
+                    f'{out}(a X, b Y) <- {prev}(a X, b Y), e(a Y, b "{node}").'
+                )
+            else:
+                rules.append(
+                    f'{out}(a "{node}", b Y) <- {prev}(a "{node}", b Y).'
+                )
+        elif shape == "diag":
+            rules.append(
+                f"{out}(a X, b Y) <- {prev}(a X, b X), e(a X, b Y)."
             )
         elif shape == "negation":
             rules.append(

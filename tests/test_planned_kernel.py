@@ -16,7 +16,10 @@ reference:
   (numbering may depend on enumeration order);
 * with no component positions (:func:`repro.engine.compile._positions`
   returning None) every unrolled step and seed runs the generic op
-  loops, which must match the reference kernel too;
+  matcher, which must match the reference kernel too;
+* random programs with constants in body literals and a variable
+  repeated inside one literal (the generator's ``const`` and ``diag``
+  shapes) must match it with and without component positions;
 * the reference kernel (``incremental=False``) never plans, never
   compiles and never runs semi-naive, under every semantics, so it
   stays an independent specification.
@@ -39,7 +42,9 @@ from repro.cli import main
 from repro.errors import LogresError
 from tests.kernels import REFERENCE
 from tests.test_incremental_kernel import (
+    EXTRA_SHAPES,
     MAX_ITERATIONS,
+    SHAPES,
     random_edb,
     random_program,
 )
@@ -86,7 +91,7 @@ def test_planned_matches_reference(seed):
 def test_generic_loops_match_reference_without_positions(seed,
                                                          monkeypatch):
     """When the schema cannot give component positions, every unrolled
-    step and seed falls back to the generic op loops; they must derive
+    step and seed falls back to the generic op matcher; it must derive
     what the reference kernel derives."""
     calls = []
 
@@ -106,6 +111,30 @@ def test_generic_loops_match_reference_without_positions(seed,
                             plan=False, config=REFERENCE)
         assert planned == reference, (semantics, source)
     assert calls, "no rule reached an unrolled shape"
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("positions", (True, False),
+                         ids=("unrolled", "generic"))
+def test_constants_and_repeated_variables_match_reference(seed, positions,
+                                                          monkeypatch):
+    """Random programs with constants in body literals (``const``) and
+    a variable repeated inside one literal (``diag``): the compiled op
+    matcher checks both, in full runs, index lookups and delta seeds,
+    with and without component positions for the unrolled shapes."""
+    if not positions:
+        monkeypatch.setattr("repro.engine.compile._positions",
+                            lambda *args: None)
+    rng = random.Random(seed)
+    source = random_program(rng, shapes=SHAPES + EXTRA_SHAPES)
+    unit = parse_source(source)
+    schema, program = unit.schema(), unit.program()
+    edb = random_edb(rng)
+    for semantics in ALL_SEMANTICS:
+        planned = outcome(schema, program, edb, semantics, plan=True)
+        reference = outcome(schema, program, edb, semantics,
+                            plan=False, config=REFERENCE)
+        assert planned == reference, (semantics, source)
 
 
 STRATIFIED_SOURCE = """
@@ -248,7 +277,7 @@ rules
 
 def test_a_delta_seed_checks_a_repeated_variable():
     """A delta fact seeds ``q(a X, b X)`` only when both components
-    agree: the compiled seed's op loop checks the second occurrence of
+    agree: the compiled seed's op matcher checks the second occurrence of
     ``X`` against the register the first one bound.  In ``run`` the
     ``q`` facts arrive as the second round's delta; in ``extend`` the
     inserted ``q(a 6, b 7)`` is the delta itself."""
